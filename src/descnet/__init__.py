@@ -22,7 +22,6 @@ from .descriptors import (
     anova_f_score,
     build_contingency,
     build_descriptor_channel_input,
-    chi2_score,
     extract_descriptors,
     load_descriptors,
     save_descriptors,

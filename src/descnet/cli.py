@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,11 +37,12 @@ COMMANDS = ("extract-descriptors", "train", "evaluate", "predict", "verify")
 
 
 @dataclass
-class RunConfig:
-    """Every tunable of every command, flat for key=value config files."""
+class RunConfig(ModelConfig):
+    """Every tunable of every command, flat for key=value config files.
 
-    # task and data
-    mode: str = "multi_class"
+    ModelConfig's fields, with their defaults, plus the data and path keys.
+    """
+
     format: str = "csv"
     labels: str = ""  # comma-separated label names, in order
     train_path: str = ""
@@ -60,27 +61,9 @@ class RunConfig:
     auto_extract: bool = False
     drop_overlength: bool = False
     min_doc_frequency: int = 2
-    # model hyperparameters (mirror ModelConfig)
-    d_embed: int = 300
-    gru_units: int = 128
-    dropout_rate: float = 0.5
-    recurrent_dropout_rate: float = 0.5
-    descriptor_test: str = "chi2"
-    descriptor_dimension: int = 100
-    text_length: int = 80
-    descriptor_length: int = 0
-    vocabulary_max: int = 130_000
-    learning_rate: float = 1e-3
-    batch_size: int = 32
-    max_epochs: int = 20
-    patience: int = 3
-    seed: int = 0
-    share_embedding: bool = True
-    optimizer: str = "adam"
 
     def model_config(self) -> ModelConfig:
-        keys = {f.name for f in fields(ModelConfig)}
-        return ModelConfig(**{k: v for k, v in asdict(self).items() if k in keys})
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
     def label_space(self) -> LabelSpace:
         names = tuple(name.strip() for name in self.labels.split(",") if name.strip())
@@ -293,7 +276,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     threshold = None
     if model.config.mode == "multi_label":
         threshold = _resolve_threshold(config, Path(config.checkpoint_path))
-        predicted = [set(np.nonzero(row > threshold)[0]) for row in probs]
+        predicted = metrics.threshold_labels(probs, threshold)
     else:
         predicted = [{int(row.argmax())} for row in probs]
 

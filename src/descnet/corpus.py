@@ -9,6 +9,8 @@ from __future__ import annotations
 import csv
 import json
 import re
+import sys
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,11 +73,13 @@ def preprocess_text(text: str) -> list[str]:
     """Lowercase, squeeze >=3-char runs, strip non-alphanumerics, split.
 
     The four steps run in that order; empty input gives an empty list.
+    Tokens are interned, so a corpus holds one string per distinct word
+    however often it occurs.
     """
     text = text.lower()
     text = _RUN_RE.sub(r"\1", text)
     text = _NON_ALNUM_RE.sub(" ", text)
-    return text.split()
+    return list(map(sys.intern, text.split()))
 
 
 def make_document(doc_id: int, text: str, label_names: list[str], label_space: LabelSpace) -> Document:
@@ -122,13 +126,11 @@ def build_vocabulary(corpus: list[Document], max_size: int) -> Vocabulary:
     if max_size < 3:
         raise DataError(f"max_size must be >= 3, got {max_size}")
 
-    counts: dict[str, int] = {}
-    doc_freq: dict[str, int] = {}
+    counts: Counter[str] = Counter()
+    doc_freq: Counter[str] = Counter()
     for doc in corpus:
-        for tok in doc.tokens:
-            counts[tok] = counts.get(tok, 0) + 1
-        for tok in set(doc.tokens):
-            doc_freq[tok] = doc_freq.get(tok, 0) + 1
+        counts.update(doc.tokens)
+        doc_freq.update(set(doc.tokens))
 
     ranked = sorted(counts, key=lambda t: (-counts[t], t))[: max_size - 2]
     token_to_id = {PAD_TOKEN: PAD_ID, OOV_TOKEN: OOV_ID}

@@ -4,18 +4,19 @@ Chi-square works on document-level token presence (2x2 one-vs-rest tables);
 ANOVA compares per-document raw occurrence counts between the in-class and
 out-of-class groups, so the two tests are genuinely different signals.
 Multi-label corpora use one-vs-rest membership: a document is "in class" for
-each of its labels.
+each of its labels. Both tests score every (class, token) pair at once from
+one sparse document x token count matrix.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .corpus import Document, LabelSpace, Vocabulary, encode
+from .corpus import OOV_ID, Document, LabelSpace, Vocabulary, encode
 from .errors import DataError
 
 TESTS = ("chi2", "anova")
@@ -25,131 +26,133 @@ _HEADER_RE = re.compile(r"^#test=(chi2|anova) n=(\d+)$")
 
 @dataclass
 class TokenClassStats:
-    """Sparse document-level occurrence data for scoring tokens against classes.
+    """Sparse document x token count matrix plus one-vs-rest class membership.
 
-    ``postings[token]`` lists (document index, raw count) for every document
-    containing the token; together with ``doc_labels`` this determines both
-    the 2x2 presence tables and the per-document ANOVA count groups.
+    Column j holds ``tokens[j]``; tokens are in lexicographic order. The
+    matrix is stored as parallel entry arrays sorted by column, then
+    document: entry k says document ``doc_index[k]`` contains the token of
+    column ``column[k]`` ``count[k]`` times. ``membership[d, c]`` is True when
+    document d carries label c, and ``df[j]`` is the number of documents
+    containing column j's token.
     """
 
-    n_docs: int
-    class_sizes: list[int]
-    doc_labels: list[frozenset[int]]
-    postings: dict[str, list[tuple[int, int]]]
-    doc_frequency: dict[str, int]
+    tokens: list[str]
+    doc_index: np.ndarray
+    column: np.ndarray
+    count: np.ndarray
+    membership: np.ndarray
+    df: np.ndarray
 
-    def contingency(self, token: str, class_idx: int) -> tuple[int, int, int, int]:
-        """One-vs-rest 2x2 table (a, b, c, d) of document-level presence."""
-        entries = self._entries(token)
-        a = sum(1 for doc_idx, _ in entries if class_idx in self.doc_labels[doc_idx])
-        b = len(entries) - a
-        c = self.class_sizes[class_idx] - a
-        d = self.n_docs - self.class_sizes[class_idx] - b
-        return a, b, c, d
+    @cached_property
+    def doc_frequency(self) -> dict[str, int]:
+        return dict(zip(self.tokens, self.df.tolist()))
 
-    def anova_groups(self, token: str, class_idx: int) -> tuple[np.ndarray, np.ndarray]:
-        """Dense per-document count vectors (in-class, out-of-class)."""
-        entries = self._entries(token)
-        in_counts = np.zeros(self.class_sizes[class_idx], dtype=np.float64)
-        out_counts = np.zeros(self.n_docs - self.class_sizes[class_idx], dtype=np.float64)
-        in_pos = out_pos = 0
-        by_doc = dict(entries)
-        for doc_idx, labels in enumerate(self.doc_labels):
-            count = by_doc.get(doc_idx, 0)
-            if class_idx in labels:
-                in_counts[in_pos] = count
-                in_pos += 1
-            else:
-                out_counts[out_pos] = count
-                out_pos += 1
-        return in_counts, out_counts
+    @cached_property
+    def postings(self) -> dict[str, np.ndarray]:
+        """Token -> indexes of the documents containing it."""
+        return dict(zip(self.tokens, np.split(self.doc_index, np.cumsum(self.df)[:-1])))
 
-    def moments(self, token: str, class_idx: int) -> tuple[int, float, float, int, float, float]:
-        """(n, sum, sum-of-squares) for the in-class and out-of-class groups."""
-        s_in = q_in = 0.0
-        s_all = q_all = 0.0
-        for doc_idx, count in self._entries(token):
-            sq = float(count) * float(count)
-            s_all += count
-            q_all += sq
-            if class_idx in self.doc_labels[doc_idx]:
-                s_in += count
-                q_in += sq
-        n_in = self.class_sizes[class_idx]
-        n_out = self.n_docs - n_in
-        return n_in, s_in, q_in, n_out, s_all - s_in, q_all - q_in
+    def _sums(self, columns, weights=None) -> tuple[np.ndarray, np.ndarray]:
+        """Totals (k,) and in-class sums (n_classes, k) of per-entry ``weights`` (default 1)."""
+        n_tokens = len(self.tokens)
+        in_class = [
+            np.bincount(self.column[member], None if weights is None else weights[member], n_tokens)
+            for member in self.membership[self.doc_index].T
+        ]
+        total = np.bincount(self.column, weights, n_tokens)
+        return total[columns], np.stack(in_class)[:, columns]
 
-    def _entries(self, token: str) -> list[tuple[int, int]]:
-        if token not in self.postings:
-            raise DataError(f"token {token!r} not present in statistics")
-        return self.postings[token]
+    def presence_tables(self, columns=slice(None)) -> tuple[np.ndarray, ...]:
+        """One-vs-rest 2x2 presence tables (a, b, c, d), each (n_classes, k), for ``columns``."""
+        df, a = self._sums(columns)
+        n_in = self.membership.sum(axis=0)[:, None]
+        b = df - a
+        return a, b, n_in - a, len(self.membership) - n_in - b
+
+    def count_moments(self, columns=slice(None)) -> tuple[np.ndarray, ...]:
+        """(n, sum, sum of squares) of raw counts in the in-class and out-of-class groups."""
+        s_all, s_in = self._sums(columns, self.count)
+        q_all, q_in = self._sums(columns, self.count * self.count)
+        n_in = self.membership.sum(axis=0)[:, None]
+        return n_in, s_in, q_in, len(self.membership) - n_in, s_all - s_in, q_all - q_in
 
 
 def build_contingency(corpus: list[Document], vocab: Vocabulary, labels: LabelSpace) -> TokenClassStats:
-    """Collect presence tables and count groups over vocabulary tokens.
+    """Count every vocabulary token in every document into a sparse matrix.
 
     Padding and out-of-vocabulary tokens are excluded; every class must have
     at least one document.
     """
     if not corpus:
         raise DataError("empty corpus")
-    doc_labels = [frozenset(doc.labels) for doc in corpus]
-    class_sizes = [0] * len(labels)
-    for ls in doc_labels:
-        for j in ls:
-            class_sizes[j] += 1
-    for j, size in enumerate(class_sizes):
-        if size == 0:
-            raise DataError(f"class {labels.names[j]!r} has no documents")
-
-    postings: dict[str, list[tuple[int, int]]] = {}
-    doc_frequency: dict[str, int] = {}
+    membership = np.zeros((len(corpus), len(labels)), dtype=bool)
     for doc_idx, doc in enumerate(corpus):
-        counts: dict[str, int] = {}
-        for tok in doc.tokens:
-            if tok in vocab:
-                counts[tok] = counts.get(tok, 0) + 1
-        for tok, count in counts.items():
-            postings.setdefault(tok, []).append((doc_idx, count))
-            doc_frequency[tok] = doc_frequency.get(tok, 0) + 1
-    return TokenClassStats(len(corpus), class_sizes, doc_labels, postings, doc_frequency)
+        membership[doc_idx, list(doc.labels)] = True
+    for name, size in zip(labels.names, membership.sum(axis=0)):
+        if size == 0:
+            raise DataError(f"class {name!r} has no documents")
+
+    lookup = vocab.token_to_id
+    ids = np.fromiter((lookup.get(tok, OOV_ID) for doc in corpus for tok in doc.tokens), dtype=np.int64)
+    docs = np.repeat(np.arange(len(corpus)), [len(doc.tokens) for doc in corpus])
+    in_vocab = ids > OOV_ID
+    ids, docs = ids[in_vocab], docs[in_vocab]
+    tokens = sorted(vocab.id_to_token[i] for i in np.unique(ids).tolist())
+    column_of = np.zeros(len(vocab), dtype=np.int64)
+    column_of[[lookup[tok] for tok in tokens]] = np.arange(len(tokens))
+    # One key per occurrence, column-major: np.unique returns the matrix's
+    # cells sorted by column, then document, with their counts.
+    cells = column_of[ids]
+    cells *= len(corpus)
+    cells += docs
+    cells, count = np.unique(cells, return_counts=True)
+    column, doc_index = np.divmod(cells, len(corpus))
+    df = np.bincount(column, minlength=len(tokens))
+    return TokenClassStats(tokens, doc_index, column, count.astype(np.float64), membership, df)
 
 
-def _chi2_from_table(a: int, b: int, c: int, d: int) -> float:
-    """Closed-form 2x2 chi-square; zero when any marginal vanishes."""
+def _chi2_from_table(a, b, c, d):
+    """Closed-form 2x2 chi-square N(ad - bc)^2 / (product of marginals), elementwise.
+
+    Zero where any marginal vanishes. The marginal product is formed as two
+    int64 pair products multiplied in float64, which rounds it once: a single
+    four-way int64 product overflows once N passes about 110,000 documents.
+    """
+    a, b, c, d = (np.asarray(x, dtype=np.int64) for x in (a, b, c, d))
     n = a + b + c + d
-    denom = (a + b) * (c + d) * (a + c) * (b + d)
-    if denom == 0:
-        return 0.0
-    num = a * d - b * c
-    return n * float(num) * float(num) / float(denom)
+    denom = ((a + b) * (c + d)).astype(np.float64) * ((a + c) * (b + d))
+    num = (a * d - b * c).astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = n * num * num / denom
+    return np.where(denom == 0, 0.0, score)[()]
 
 
-def _anova_f_from_moments(
-    n_in: int, s_in: float, q_in: float, n_out: int, s_out: float, q_out: float
-) -> float:
+def _anova_f(n_in, s_in, q_in, n_out, s_out, q_out):
+    """Two-group F = MS_between / MS_within from group sizes, sums and sums of squares.
+
+    Elementwise over broadcast arrays; +inf where the within-group variance is
+    zero but the means differ, 0 where the means agree.
+    """
+    n_in, n_out, _ = np.broadcast_arrays(n_in, n_out, s_in)
     n = n_in + n_out
-    if n_in == 0 or n_out == 0:
-        raise DataError("insufficient degrees of freedom: both groups must be non-empty")
-    if n < 3:
-        raise DataError(f"insufficient degrees of freedom: {n} total observations")
+    bad = np.flatnonzero((n_in == 0) | (n_out == 0) | (n < 3))
+    if bad.size:
+        first = bad[0]
+        if n_in.flat[first] == 0 or n_out.flat[first] == 0:
+            raise DataError("insufficient degrees of freedom: both groups must be non-empty")
+        raise DataError(f"insufficient degrees of freedom: {n.flat[first]} total observations")
     mean_in = s_in / n_in
     mean_out = s_out / n_out
     # Two-group identity: SSB = n1*n2/N * (m1 - m2)^2, exact at zero when the
     # group means agree; the computational form q - s*m can go slightly
-    # negative in floating point, hence the clamps.
-    ss_between = (n_in * n_out / n) * (mean_in - mean_out) ** 2
-    ss_within = max(q_in - s_in * mean_in, 0.0) + max(q_out - s_out * mean_out, 0.0)
-    if ss_between == 0.0:
-        return 0.0
-    if ss_within == 0.0:
-        return math.inf
-    return ss_between / (ss_within / (n - 2))
-
-
-def chi2_score(stats: TokenClassStats, token: str, class_idx: int) -> float:
-    """Chi-square statistic of the token's one-vs-rest presence table."""
-    return _chi2_from_table(*stats.contingency(token, class_idx))
+    # negative in floating point, hence the clamps. float_power is the C
+    # library's pow, like Python's float **, so scores equal a plain-Python
+    # evaluation bit for bit; x * x rounds differently for ~1 in 1,000 values.
+    ss_between = (n_in * n_out / n) * np.float_power(mean_in - mean_out, 2)
+    ss_within = np.maximum(q_in - s_in * mean_in, 0.0) + np.maximum(q_out - s_out * mean_out, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = ss_between / (ss_within / (n - 2))
+    return np.where(ss_between == 0.0, 0.0, np.where(ss_within == 0.0, np.inf, f))[()]
 
 
 def anova_f_score(in_class_counts, out_class_counts) -> float:
@@ -160,9 +163,14 @@ def anova_f_score(in_class_counts, out_class_counts) -> float:
     """
     x = np.asarray(in_class_counts, dtype=np.float64)
     y = np.asarray(out_class_counts, dtype=np.float64)
-    return _anova_f_from_moments(
-        x.size, float(x.sum()), float((x * x).sum()), y.size, float(y.sum()), float((y * y).sum())
-    )
+    return float(_anova_f(x.size, x.sum(), (x * x).sum(), y.size, y.sum(), (y * y).sum()))
+
+
+def score_tokens(stats: TokenClassStats, test: str, columns=slice(None)) -> np.ndarray:
+    """(n_classes, k) scores of the tokens in ``columns`` against every class."""
+    if test == "chi2":
+        return _chi2_from_table(*stats.presence_tables(columns))
+    return _anova_f(*stats.count_moments(columns))
 
 
 @dataclass
@@ -205,19 +213,13 @@ def extract_descriptors(
     if n < 1:
         raise DataError(f"descriptor dimension must be >= 1, got {n}")
     stats = build_contingency(corpus, vocab, labels)
-    candidates = sorted(t for t, df in stats.doc_frequency.items() if df >= min_doc_frequency)
-
+    columns = np.flatnonzero(stats.df >= min_doc_frequency)
+    scores = score_tokens(stats, test, columns)
+    df = stats.df[columns]
     entries: list[list[tuple[str, float]]] = []
-    for class_idx in range(len(labels)):
-        scored = []
-        for tok in candidates:
-            if test == "chi2":
-                score = chi2_score(stats, tok, class_idx)
-            else:
-                score = _anova_f_from_moments(*stats.moments(tok, class_idx))
-            scored.append((tok, score))
-        scored.sort(key=lambda ts: (-ts[1], -stats.doc_frequency[ts[0]], ts[0]))
-        entries.append(scored[:n])
+    for class_scores in scores:
+        top = np.lexsort((columns, -df, -class_scores))[:n]
+        entries.append(list(zip([stats.tokens[j] for j in columns[top].tolist()], class_scores[top].tolist())))
     return _make_descriptor_set(test, n, labels.names, entries)
 
 

@@ -64,18 +64,16 @@ class PRFResult:
         return getattr(self, averaging)
 
 
-def precision_recall_f1(predicted, gold, n_classes: int, averaging: str = "weighted") -> PRFResult:
+def precision_recall_f1(predicted, gold, n_classes: int) -> PRFResult:
     """Standard one-vs-rest P/R/F1 over label sets.
 
     ``predicted`` and ``gold`` are equal-length sequences of label-index
     collections. Macro averages classes unweighted; weighted averages by
     support (classes with zero support are excluded); micro uses global
-    counts. ``averaging`` only validates the caller's headline choice.
+    counts.
     """
     if len(predicted) != len(gold):
         raise DataError(f"precision_recall_f1: {len(predicted)} predictions vs {len(gold)} golds")
-    if averaging not in ("macro", "micro", "weighted"):
-        raise DataError(f"unknown averaging {averaging!r}")
     tp = np.zeros(n_classes, dtype=np.int64)
     fp = np.zeros(n_classes, dtype=np.int64)
     fn = np.zeros(n_classes, dtype=np.int64)
@@ -117,6 +115,11 @@ def accuracy(predicted, gold) -> float:
     return sum(1 for p, g in zip(predicted, gold) if p == g) / len(predicted)
 
 
+def threshold_labels(probabilities, threshold: float) -> list[set[int]]:
+    """The multi-label decision rule: each row's classes whose probability reaches ``threshold``."""
+    return [set(np.flatnonzero(row).tolist()) for row in np.asarray(probabilities) >= threshold]
+
+
 def select_threshold(probabilities: np.ndarray, gold_sets) -> float:
     """Grid-search {0.01..0.99} for the threshold maximizing macro-F1.
 
@@ -130,13 +133,23 @@ def select_threshold(probabilities: np.ndarray, gold_sets) -> float:
         raise DataError("select_threshold: row count does not match gold count")
     n_classes = probs.shape[1]
     gold = [set(g) for g in gold_sets]
-    best_threshold, best_f1 = THRESHOLD_GRID[0], -1.0
-    for threshold in THRESHOLD_GRID:
-        predicted = [set(np.nonzero(row >= threshold)[0]) for row in probs]
-        f1 = macro_f1(predicted, gold, n_classes)
-        if f1 > best_f1:
-            best_threshold, best_f1 = threshold, f1
-    return best_threshold
+    return max(THRESHOLD_GRID, key=lambda t: macro_f1(threshold_labels(probs, t), gold, n_classes))
+
+
+def per_label_auc(probabilities: np.ndarray, gold_sets, n_classes: int) -> list[float | None]:
+    """One-vs-rest AUC of each label's probability column; None where AUC is undefined."""
+    probs = np.asarray(probabilities, dtype=np.float64)
+    targets = np.zeros((probs.shape[0], n_classes), dtype=np.int64)
+    for i, g in enumerate(gold_sets):
+        for c in g:
+            targets[i, c] = 1
+    aucs: list[float | None] = []
+    for c in range(n_classes):
+        try:
+            aucs.append(roc_auc(probs[:, c], targets[:, c]))
+        except DataError:
+            aucs.append(None)
+    return aucs
 
 
 def macro_auc(probabilities: np.ndarray, gold_sets, n_classes: int) -> float:
@@ -144,18 +157,8 @@ def macro_auc(probabilities: np.ndarray, gold_sets, n_classes: int) -> float:
 
     Falls back to 0.5 if no label has both a positive and a negative example.
     """
-    probs = np.asarray(probabilities, dtype=np.float64)
-    targets = np.zeros((probs.shape[0], n_classes))
-    for i, g in enumerate(gold_sets):
-        for c in g:
-            targets[i, c] = 1.0
-    aucs = []
-    for c in range(n_classes):
-        try:
-            aucs.append(roc_auc(probs[:, c], targets[:, c].astype(int)))
-        except DataError:
-            continue
-    return float(np.mean(aucs)) if aucs else 0.5
+    defined = [a for a in per_label_auc(probabilities, gold_sets, n_classes) if a is not None]
+    return float(np.mean(defined)) if defined else 0.5
 
 
 @dataclass
@@ -223,18 +226,10 @@ def build_report(
     for name, agg in (("macro", prf.macro), ("micro", prf.micro), ("weighted", prf.weighted)):
         setattr(report, name, {"precision": agg[0], "recall": agg[1], "f1": agg[2]})
 
-    per_label_auc: list[float | None] = [None] * n_classes
+    aucs: list[float | None] = [None] * n_classes
     if mode == "multi_label" and probabilities is not None:
-        targets = np.zeros((len(gold), n_classes))
-        for i, g in enumerate(gold):
-            for c in g:
-                targets[i, c] = 1.0
-        for c in range(n_classes):
-            try:
-                per_label_auc[c] = roc_auc(np.asarray(probabilities)[:, c], targets[:, c].astype(int))
-            except DataError:
-                per_label_auc[c] = None
-        defined = [a for a in per_label_auc if a is not None]
+        aucs = per_label_auc(probabilities, gold, n_classes)
+        defined = [a for a in aucs if a is not None]
         report.macro_auc = float(np.mean(defined)) if defined else None
         report.threshold = threshold
 
@@ -244,7 +239,7 @@ def build_report(
     for c, name in enumerate(label_names):
         p, r, f1, support = prf.per_class[c]
         row = {"label": name, "precision": p, "recall": r, "f1": f1, "support": support}
-        if per_label_auc[c] is not None:
-            row["auc"] = per_label_auc[c]
+        if aucs[c] is not None:
+            row["auc"] = aucs[c]
         report.per_class.append(row)
     return report

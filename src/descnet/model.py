@@ -282,7 +282,7 @@ def predict(
     """Label indices plus the per-class probability row for one raw text.
 
     Multi-class returns the argmax singleton (ties break to the lowest class
-    index); multi-label returns every class strictly above ``threshold``.
+    index); multi-label returns every class reaching ``threshold``.
     """
     tokens = preprocess_text(text)
     cfg = model.config
@@ -293,7 +293,7 @@ def predict(
         return [int(probs.argmax())], probs
     if threshold is None:
         raise DataError("multi_label prediction requires a threshold")
-    return [int(j) for j in np.nonzero(probs > threshold)[0]], probs
+    return sorted(metrics.threshold_labels(probs[None, :], threshold)[0]), probs
 
 
 def file_sha256(path) -> str:

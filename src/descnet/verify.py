@@ -16,7 +16,7 @@ import numpy as np
 from . import metrics, nn
 from . import numerics as nm
 from .corpus import Document, LabelSpace, Vocabulary, build_vocabulary
-from .descriptors import _anova_f_from_moments, anova_f_score, build_contingency, chi2_score
+from .descriptors import anova_f_score, build_contingency, score_tokens
 from .model import DualChannelModel, ModelConfig
 from .numerics import Parameter, Tensor, grad_check
 
@@ -70,6 +70,20 @@ def anova_oracle(in_counts, out_counts) -> float:
     return (ss_between / 1.0) / (ss_within / (n - 2))
 
 
+def anova_groups(docs: list[Document], token: str, class_idx: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-document raw counts of ``token``, split into in-class and out-of-class groups."""
+    in_counts = [doc.tokens.count(token) for doc in docs if class_idx in doc.labels]
+    out_counts = [doc.tokens.count(token) for doc in docs if class_idx not in doc.labels]
+    return np.array(in_counts, dtype=np.float64), np.array(out_counts, dtype=np.float64)
+
+
+def presence_table(docs: list[Document], token: str, class_idx: int) -> tuple[int, int, int, int]:
+    """One-vs-rest 2x2 table (a, b, c, d): in-class and out-of-class documents with and without ``token``."""
+    in_counts, out_counts = anova_groups(docs, token, class_idx)
+    a, b = int(np.count_nonzero(in_counts)), int(np.count_nonzero(out_counts))
+    return a, b, in_counts.size - a, out_counts.size - b
+
+
 def auc_oracle(scores, labels) -> float:
     """All-pairs concordance count; ties contribute one half."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -120,14 +134,13 @@ def check_chi2_equivalence(n_corpora: int = 1000, seed: int = 2024) -> CheckResu
     for _ in range(n_corpora):
         docs, vocab, labels = random_corpus(rng)
         stats = build_contingency(docs, vocab, labels)
-        for token in stats.postings:
-            for class_idx in range(len(labels)):
-                produced = chi2_score(stats, token, class_idx)
-                expected = chi2_oracle(*stats.contingency(token, class_idx))
+        for class_idx, scores in enumerate(score_tokens(stats, "chi2").tolist()):
+            for token, produced in zip(stats.tokens, scores):
+                expected = chi2_oracle(*presence_table(docs, token, class_idx))
                 worst = max(worst, relative_error(produced, expected))
                 comparisons += 1
     return CheckResult(
-        "chi2 closed form vs direct (O-E)^2/E oracle",
+        "chi2 bulk kernel vs direct (O-E)^2/E oracle",
         worst < 1e-9,
         worst,
         1e-9,
@@ -141,19 +154,17 @@ def check_anova_equivalence(n_corpora: int = 1000, seed: int = 2025) -> CheckRes
     comparisons = 0
     for _ in range(n_corpora):
         docs, vocab, labels = random_corpus(rng)
+        if len(docs) < 3:  # F needs at least one within-group degree of freedom
+            continue
         stats = build_contingency(docs, vocab, labels)
-        for token in stats.postings:
-            for class_idx in range(len(labels)):
-                in_counts, out_counts = stats.anova_groups(token, class_idx)
-                if in_counts.size + out_counts.size < 3:
-                    continue
-                expected = anova_oracle(in_counts, out_counts)
-                from_lists = anova_f_score(in_counts, out_counts)
-                from_moments = _anova_f_from_moments(*stats.moments(token, class_idx))
+        for class_idx, scores in enumerate(score_tokens(stats, "anova").tolist()):
+            for token, produced in zip(stats.tokens, scores):
+                groups = anova_groups(docs, token, class_idx)
+                expected = anova_oracle(*groups)
                 worst = max(
                     worst,
-                    relative_error(from_lists, expected),
-                    relative_error(from_moments, expected),
+                    relative_error(produced, expected),
+                    relative_error(anova_f_score(*groups), expected),
                 )
                 comparisons += 1
     return CheckResult(
@@ -175,12 +186,15 @@ def check_worked_statistics() -> CheckResult:
     labels = LabelSpace(("A", "B"), "multi_class")
     vocab = build_vocabulary(docs, max_size=10)
     stats = build_contingency(docs, vocab, labels)
+    chi2, anova = score_tokens(stats, "chi2"), score_tokens(stats, "anova")
+    cat, dog = stats.tokens.index("cat"), stats.tokens.index("dog")
     errors = [
-        abs(chi2_score(stats, "cat", 0) - 4.0),
-        abs(anova_f_score(*stats.anova_groups("cat", 0)) - 9.0),
-        abs(chi2_score(stats, "dog", 1) - 4.0),
+        abs(chi2[0, cat] - 4.0),
+        abs(anova[0, cat] - 9.0),
+        abs(anova_f_score(*anova_groups(docs, "cat", 0)) - 9.0),
+        abs(chi2[1, dog] - 4.0),
     ]
-    worst = max(errors)
+    worst = float(max(errors))
     return CheckResult("worked examples chi2(cat,A)=4 and F(cat,A)=9", worst <= 1e-12, worst, 1e-12)
 
 

@@ -1,7 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from descnet.cli import main
+from descnet import metrics
+from descnet.cli import RunConfig, build_parser, build_run_config, main, parse_config_file
+from descnet.corpus import load_vocabulary
+from descnet.descriptors import load_descriptors
+from descnet.model import ModelConfig, load_checkpoint, predict
 from descnet.synth import marker_corpus, write_csv
 
 FAST_FLAGS = [
@@ -277,6 +283,61 @@ class TestPredict:
         label_field, prob_field = line.split("\t")
         assert label_field == ""
         assert len(prob_field.split()) == 3
+
+
+class TestDecisionRule:
+    def test_probability_equal_to_threshold_is_accepted_everywhere(self, corpus_dir, tmp_path, monkeypatch):
+        root, names = corpus_dir
+        out = tmp_path / "ml"
+        assert main([
+            "train", "--train-path", str(root / "train_ml.csv"), "--labels", ",".join(names),
+            "--mode", "multi_label", "--auto-extract", "true", "--out-dir", str(out), *FAST_FLAGS,
+        ]) == 0
+        reports = []
+        build_report = metrics.build_report
+
+        def capture(mode, label_names, predicted, gold, probabilities, threshold):
+            reports.append((predicted, probabilities))
+            return build_report(mode, label_names, predicted, gold, probabilities, threshold)
+
+        monkeypatch.setattr(metrics, "build_report", capture)
+        evaluate = [
+            "evaluate", "--checkpoint-path", str(out / "checkpoint.bin"),
+            "--test-path", str(root / "train_ml.csv"), "--out-dir", str(tmp_path / "eval"),
+        ]
+        assert main(evaluate) == 0
+        probs = reports[0][1]
+        at = float(probs[0, 0])
+        assert main([*evaluate, "--threshold", repr(at)]) == 0
+        predicted = reports[1][0]
+        assert 0 in predicted[0]
+        assert predicted == metrics.threshold_labels(probs, at)
+
+        model, _ = load_checkpoint(out / "checkpoint.bin")
+        vocab, descriptors = load_vocabulary(out / "vocab.tsv"), load_descriptors(out / "descriptors.tsv")
+        _, row = predict(model, vocab, descriptors, "markera noise001", threshold=0.5)
+        picked, _ = predict(model, vocab, descriptors, "markera noise001", threshold=float(row[1]))
+        assert 1 in picked
+        assert picked == sorted(metrics.threshold_labels(row[None, :], float(row[1]))[0])
+
+        # the smallest grid threshold that accepts 0.31 but not 0.30 is 0.31 itself
+        assert metrics.select_threshold(np.array([[0.31], [0.30]]), [{0}, set()]) == 0.31
+
+
+class TestConfigSchema:
+    def test_every_model_field_is_a_config_key_and_flag_with_its_default(self, tmp_path):
+        defaults = ModelConfig()
+        parser = build_parser()
+        assert RunConfig().model_config() == defaults
+        for f in fields(ModelConfig):
+            default = getattr(defaults, f.name)
+            config_file = tmp_path / f"{f.name}.cfg"
+            config_file.write_text(f"{f.name} = {default}\n")
+            from_file = parse_config_file(config_file)[f.name]
+            args = parser.parse_args(["train", "--" + f.name.replace("_", "-"), str(default)])
+            from_flag = getattr(build_run_config(args), f.name)
+            for value in (getattr(RunConfig(), f.name), from_file, from_flag):
+                assert value == default and type(value) is type(default), (f.name, value)
 
 
 class TestVerifyCommand:

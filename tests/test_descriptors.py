@@ -8,16 +8,17 @@ from hypothesis import strategies as st
 from descnet.corpus import Document, LabelSpace, build_vocabulary, encode, preprocess_text
 from descnet.descriptors import (
     ClassDescriptorSet,
+    _chi2_from_table,
     anova_f_score,
     build_contingency,
     build_descriptor_channel_input,
-    chi2_score,
     extract_descriptors,
     load_descriptors,
     save_descriptors,
+    score_tokens,
 )
 from descnet.errors import DataError
-from descnet.verify import anova_oracle, chi2_oracle, random_corpus
+from descnet.verify import anova_groups, anova_oracle, chi2_oracle, presence_table, random_corpus
 
 
 def make_docs(texts_and_labels, label_space):
@@ -37,19 +38,27 @@ def cat_dog():
     return docs, vocab, labels
 
 
+def table_of(stats, token, class_idx):
+    """The (a, b, c, d) presence table of one token and class, read from the bulk arrays."""
+    j = stats.tokens.index(token)
+    return tuple(int(cell[class_idx, j]) for cell in stats.presence_tables())
+
+
 class TestContingency:
     def test_hand_count(self, cat_dog):
         docs, vocab, labels = cat_dog
         stats = build_contingency(docs, vocab, labels)
-        assert stats.contingency("cat", 0) == (2, 0, 0, 2)
-        assert stats.contingency("cat", 1) == (0, 2, 2, 0)
+        assert table_of(stats, "cat", 0) == (2, 0, 0, 2)
+        assert table_of(stats, "cat", 1) == (0, 2, 2, 0)
+        assert stats.doc_frequency == {"cat": 2, "dog": 2}
+        assert {tok: found.tolist() for tok, found in stats.postings.items()} == {"cat": [0, 1], "dog": [2, 3]}
 
     def test_saturated_token(self):
         labels = LabelSpace(("A", "B"), "multi_class")
         docs = make_docs([("the cat", [0]), ("the dog", [1]), ("the fox", [1])], labels)
         vocab = build_vocabulary(docs, max_size=10)
         stats = build_contingency(docs, vocab, labels)
-        assert stats.contingency("the", 0) == (1, 2, 0, 0)
+        assert table_of(stats, "the", 0) == (1, 2, 0, 0)
 
     def test_multi_label_one_vs_rest(self):
         labels = LabelSpace(("toxic", "insult", "threat"), "multi_label")
@@ -59,9 +68,9 @@ class TestContingency:
         vocab = build_vocabulary(docs, max_size=10)
         stats = build_contingency(docs, vocab, labels)
         # "bad" occurs only in doc 0, which is in-class for both toxic and insult
-        assert stats.contingency("bad", 0) == (1, 0, 1, 1)
-        assert stats.contingency("bad", 1) == (1, 0, 0, 2)
-        assert stats.contingency("words", 2) == (0, 2, 1, 0)
+        assert table_of(stats, "bad", 0) == (1, 0, 1, 1)
+        assert table_of(stats, "bad", 1) == (1, 0, 0, 2)
+        assert table_of(stats, "words", 2) == (0, 2, 1, 0)
 
     def test_zero_document_class_named(self):
         labels = LabelSpace(("A", "B", "Empty"), "multi_class")
@@ -72,40 +81,36 @@ class TestContingency:
 
     def test_anova_groups_partition_corpus(self, cat_dog):
         docs, vocab, labels = cat_dog
-        stats = build_contingency(docs, vocab, labels)
-        in_counts, out_counts = stats.anova_groups("cat", 0)
+        in_counts, out_counts = anova_groups(docs, "cat", 0)
         assert sorted(in_counts) == [1, 2]
         assert sorted(out_counts) == [0, 0]
         assert in_counts.size + out_counts.size == len(docs)
+        stats = build_contingency(docs, vocab, labels)
+        j = stats.tokens.index("cat")
+        n_in, s_in, q_in, n_out, s_out, q_out = stats.count_moments()
+        assert (n_in[0, 0], s_in[0, j], q_in[0, j]) == (2, 3.0, 5.0)
+        assert (n_out[0, 0], s_out[0, j], q_out[0, j]) == (2, 0.0, 0.0)
 
 
 class TestChi2:
     def test_worked_example(self, cat_dog):
         docs, vocab, labels = cat_dog
         stats = build_contingency(docs, vocab, labels)
-        assert chi2_score(stats, "cat", 0) == pytest.approx(4.0, abs=1e-12)
+        assert score_tokens(stats, "chi2")[0, stats.tokens.index("cat")] == pytest.approx(4.0, abs=1e-12)
 
     def test_independence_is_zero(self):
-        from descnet.descriptors import _chi2_from_table
-
         assert _chi2_from_table(1, 1, 1, 1) == 0.0
 
     def test_three_one_one_three(self):
-        from descnet.descriptors import _chi2_from_table
-
         # N*(ad-bc)^2 / product of marginals = 8*64/256
         assert _chi2_from_table(3, 1, 1, 3) == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_marginal_returns_zero(self):
-        from descnet.descriptors import _chi2_from_table
-
         assert _chi2_from_table(2, 2, 0, 0) == 0.0
         assert _chi2_from_table(0, 0, 2, 2) == 0.0
 
     @given(st.tuples(*[st.integers(min_value=0, max_value=20)] * 4))
     def test_non_negative_and_zero_iff_ad_equals_bc(self, table):
-        from descnet.descriptors import _chi2_from_table
-
         a, b, c, d = table
         score = _chi2_from_table(a, b, c, d)
         assert score >= 0.0
@@ -115,10 +120,22 @@ class TestChi2:
 
     @given(st.tuples(*[st.integers(min_value=0, max_value=20)] * 4))
     def test_symmetric_under_class_complement_swap(self, table):
-        from descnet.descriptors import _chi2_from_table
-
         a, b, c, d = table
         assert _chi2_from_table(a, b, c, d) == _chi2_from_table(b, a, d, c)
+
+    def test_marginal_product_past_int64_matches_oracle(self):
+        # At n = 200,000 the product of the four marginals reaches ~1e20, past
+        # int64's 9.2e18, so it cannot be formed as one int64 product.
+        tables = np.array([
+            (50_000, 50_000, 50_000, 50_000),
+            (100_000, 50_000, 20_000, 30_000),
+            (120_000, 10_000, 30_000, 40_000),
+            (60_000, 40_000, 40_000, 60_000),
+        ])
+        got = _chi2_from_table(*tables.T)
+        for table, score in zip(tables.tolist(), got.tolist()):
+            assert score == pytest.approx(chi2_oracle(*table), rel=1e-9, abs=1e-15)
+            assert _chi2_from_table(*table) == score
 
 
 class TestAnovaF:
@@ -157,21 +174,22 @@ class TestBruteForceEquivalence:
         for _ in range(50):
             docs, vocab, labels = random_corpus(rng)
             stats = build_contingency(docs, vocab, labels)
-            for token in stats.postings:
+            chi2 = score_tokens(stats, "chi2")
+            anova = score_tokens(stats, "anova") if len(docs) >= 3 else None
+            for j, token in enumerate(stats.tokens):
                 for class_idx in range(len(labels)):
-                    table = stats.contingency(token, class_idx)
-                    expected_chi2 = chi2_oracle(*table)
-                    got_chi2 = chi2_score(stats, token, class_idx)
-                    assert got_chi2 == pytest.approx(expected_chi2, rel=1e-9, abs=1e-15)
-                    groups = stats.anova_groups(token, class_idx)
-                    if groups[0].size + groups[1].size < 3:
+                    table = presence_table(docs, token, class_idx)
+                    assert table_of(stats, token, class_idx) == table
+                    assert chi2[class_idx, j] == pytest.approx(chi2_oracle(*table), rel=1e-9, abs=1e-15)
+                    if anova is None:
                         continue
+                    groups = anova_groups(docs, token, class_idx)
                     expected_f = anova_oracle(*groups)
-                    got_f = anova_f_score(*groups)
-                    if math.isinf(expected_f):
-                        assert math.isinf(got_f)
-                    else:
-                        assert got_f == pytest.approx(expected_f, rel=1e-9, abs=1e-15)
+                    for got_f in (anova[class_idx, j], anova_f_score(*groups)):
+                        if math.isinf(expected_f):
+                            assert math.isinf(got_f)
+                        else:
+                            assert got_f == pytest.approx(expected_f, rel=1e-9, abs=1e-15)
 
 
 class TestExtractDescriptors:
@@ -200,11 +218,11 @@ class TestExtractDescriptors:
         stats = build_contingency(docs, vocab, labels)
         for class_idx, marker in enumerate(["alpha", "beta", "gamma"]):
             chi2_by_token = {
-                tok: chi2_oracle(*stats.contingency(tok, class_idx)) for tok in stats.postings
+                tok: chi2_oracle(*presence_table(docs, tok, class_idx)) for tok in stats.tokens
             }
             assert max(chi2_by_token, key=chi2_by_token.get) == marker
             f_by_token = {
-                tok: anova_oracle(*stats.anova_groups(tok, class_idx)) for tok in stats.postings
+                tok: anova_oracle(*anova_groups(docs, tok, class_idx)) for tok in stats.tokens
             }
             best = max(f_by_token.values())
             assert f_by_token[marker] == best
@@ -259,6 +277,14 @@ class TestExtractDescriptors:
         # x and y tie at the top score (lexicographic), then the zero-scored
         # tail ranks by doc frequency (mm: 4) before lexicographic (aa, zz)
         assert tokens_a == ["x", "y", "mm", "aa", "zz"]
+
+    def test_anova_degrees_of_freedom_checked_only_for_scored_pairs(self):
+        labels = LabelSpace(("A", "B"), "multi_class")
+        docs = make_docs([("cat dog", [0]), ("cat fox", [1])], labels)
+        vocab = build_vocabulary(docs, max_size=10)
+        with pytest.raises(DataError, match="2 total observations"):
+            extract_descriptors(docs, vocab, labels, "anova", n=1, min_doc_frequency=1)
+        assert extract_descriptors(docs, vocab, labels, "anova", n=1, min_doc_frequency=3).entries == [[], []]
 
     def test_union_vocabulary_is_union_of_lists(self):
         docs, vocab, labels = self.marker_setup()
