@@ -25,8 +25,8 @@ from .model import (
     encode_examples,
     file_sha256,
     load_checkpoint,
-    predict,
     predict_probabilities,
+    predict_texts,
     save_checkpoint,
     train,
 )
@@ -209,8 +209,7 @@ def cmd_train(config: RunConfig) -> int:
     threshold = None
     if config.mode == "multi_label":
         probs = predict_probabilities(model, val_examples)
-        gold_sets = [set(np.nonzero(ex.target)[0]) for ex in val_examples]
-        threshold = metrics.select_threshold(probs, gold_sets)
+        threshold = metrics.select_threshold(probs, np.stack([ex.target for ex in val_examples]))
         (out_dir / "threshold.txt").write_text(f"{threshold}\n", encoding="utf-8")
 
     best = max(history, key=lambda s: s.val_metric)
@@ -245,7 +244,8 @@ def _load_bundle(config: RunConfig):
         raise ArtifactError(f"{descriptor_path}: content hash does not match the checkpoint's descriptors")
     vocab = load_vocabulary(vocab_path)
     descriptors = load_descriptors(descriptor_path)
-    return model, meta, vocab, descriptors
+    threshold = _resolve_threshold(config, checkpoint_path) if model.config.mode == "multi_label" else None
+    return model, meta, vocab, descriptors, threshold
 
 
 def _resolve_threshold(config: RunConfig, checkpoint_path: Path) -> float:
@@ -266,19 +266,13 @@ def _resolve_threshold(config: RunConfig, checkpoint_path: Path) -> float:
 def cmd_evaluate(config: RunConfig) -> int:
     _require(config, "test_path")
     out_dir = echo_config(config)
-    model, meta, vocab, descriptors = _load_bundle(config)
+    model, meta, vocab, descriptors, threshold = _load_bundle(config)
     labels = LabelSpace(tuple(meta.label_names), model.config.mode)
     docs = load_dataset(config.test_path, config.format, labels)
     examples = encode_examples(docs, vocab, descriptors, labels, model.config)
     probs = predict_probabilities(model, examples)
-    gold = [set(np.nonzero(ex.target)[0]) for ex in examples]
-
-    threshold = None
-    if model.config.mode == "multi_label":
-        threshold = _resolve_threshold(config, Path(config.checkpoint_path))
-        predicted = metrics.threshold_labels(probs, threshold)
-    else:
-        predicted = [{int(row.argmax())} for row in probs]
+    predicted = metrics.decide(probs, model.config.mode, threshold)
+    gold = np.stack([ex.target for ex in examples])
 
     report = metrics.build_report(model.config.mode, labels.names, predicted, gold, probs, threshold)
     (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
@@ -288,22 +282,20 @@ def cmd_evaluate(config: RunConfig) -> int:
 
 
 def cmd_predict(config: RunConfig) -> int:
-    model, meta, vocab, descriptors = _load_bundle(config)
-    threshold = None
-    if model.config.mode == "multi_label":
-        threshold = _resolve_threshold(config, Path(config.checkpoint_path))
-
+    model, meta, vocab, descriptors, threshold = _load_bundle(config)
     if config.text:
         texts = [config.text]
     elif config.input_path:
         texts = Path(config.input_path).read_text(encoding="utf-8").splitlines()
     else:
         raise DataError("nothing to predict: pass --text or --input-path")
+    if not texts:
+        return 0
 
-    for raw in texts:
-        picked, probs = predict(model, vocab, descriptors, raw, threshold)
-        names = "|".join(meta.label_names[j] for j in picked)
-        prob_str = " ".join(f"{p:.6f}" for p in probs)
+    picked, probs = predict_texts(model, vocab, descriptors, texts, threshold)
+    for row, prob_row in zip(picked, probs):
+        names = "|".join(name for name, on in zip(meta.label_names, row) if on)
+        prob_str = " ".join(f"{p:.6f}" for p in prob_row)
         print(f"{names}\t{prob_str}")
     return 0
 

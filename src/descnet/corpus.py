@@ -153,11 +153,6 @@ def encode(tokens: list[str], vocab: Vocabulary, max_len: int) -> np.ndarray:
     return ids
 
 
-def sequence_length(ids: np.ndarray) -> int:
-    """Valid (non-padding) prefix length of an encoded sequence."""
-    return int((np.asarray(ids) != PAD_ID).sum())
-
-
 def save_vocabulary(vocab: Vocabulary, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for idx, tok in enumerate(vocab.id_to_token):
@@ -239,6 +234,8 @@ def load_dataset(path, format: str, label_space: LabelSpace) -> list[Document]:
                     docs.append(make_document(len(docs), str(obj["text"]), obj["labels"], label_space))
                 except DataError as e:
                     raise DataError(f"{path}: line {lineno}: {e}") from None
+    if not docs:
+        raise DataError(f"{path}: no records")
     return docs
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .corpus import OOV_ID, Document, LabelSpace, Vocabulary, encode
 from .errors import DataError
+from .metrics import label_matrix
 
 TESTS = ("chi2", "anova")
 
@@ -85,9 +86,7 @@ def build_contingency(corpus: list[Document], vocab: Vocabulary, labels: LabelSp
     """
     if not corpus:
         raise DataError("empty corpus")
-    membership = np.zeros((len(corpus), len(labels)), dtype=bool)
-    for doc_idx, doc in enumerate(corpus):
-        membership[doc_idx, list(doc.labels)] = True
+    membership = label_matrix([doc.labels for doc in corpus], len(labels))
     for name, size in zip(labels.names, membership.sum(axis=0)):
         if size == 0:
             raise DataError(f"class {name!r} has no documents")
@@ -182,9 +181,6 @@ class ClassDescriptorSet:
     class_names: tuple[str, ...]
     entries: list[list[tuple[str, float]]]
     union_vocabulary: frozenset[str]
-
-    def tokens_for(self, class_name: str) -> list[str]:
-        return [tok for tok, _ in self.entries[self.class_names.index(class_name)]]
 
 
 def _make_descriptor_set(

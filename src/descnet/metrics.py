@@ -12,6 +12,25 @@ from .errors import DataError
 THRESHOLD_GRID = [round(i / 100, 2) for i in range(1, 100)]
 
 
+def label_matrix(labels, n_classes: int) -> np.ndarray:
+    """Labels as a bool ``(n, n_classes)`` indicator matrix.
+
+    ``labels`` is a 2-D 0/1 array, or a sequence holding one collection of
+    label indices per row. Every index must lie in ``[0, n_classes)``.
+    """
+    if isinstance(labels, np.ndarray) and labels.ndim == 2:
+        if labels.shape[1] != n_classes or not np.all((labels == 0) | (labels == 1)):
+            raise DataError(f"label matrix must hold 0/1 in {n_classes} columns, got shape {labels.shape}")
+        return labels.astype(bool, copy=False)
+    matrix = np.zeros((len(labels), n_classes), dtype=bool)
+    for i, row in enumerate(labels):
+        for c in row:
+            if not 0 <= c < n_classes:
+                raise DataError(f"row {i}: label index {c} outside [0, {n_classes})")
+            matrix[i, c] = True
+    return matrix
+
+
 def roc_auc(scores, labels) -> float:
     """Probability that a random positive outranks a random negative.
 
@@ -29,24 +48,21 @@ def roc_auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC undefined: need at least one positive and one negative")
 
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(s.size, dtype=np.float64)
-    i = 0
-    while i < s.size:
-        j = i
-        while j < s.size and s[order[j]] == s[order[i]]:
-            j += 1
-        ranks[order[i:j]] = (i + 1 + j) / 2.0  # average of 1-based ranks i+1..j
-        i = j
+    # A group of ``count`` equal scores ending at 1-based rank ``end`` takes
+    # the mean of ranks end - count + 1 .. end.
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     u = ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
 
-def _prf_from_counts(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
+def _prf(tp, fp, fn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Precision, recall and F1 from counts; a ratio with denominator 0 is 0.0."""
+    def ratio(numerator, denominator):
+        return np.divide(numerator, denominator, out=np.zeros(np.shape(denominator)), where=denominator != 0)
+
+    precision, recall = ratio(tp, tp + fp), ratio(tp, tp + fn)
+    return precision, recall, ratio(2 * precision * recall, precision + recall)
 
 
 @dataclass
@@ -65,41 +81,28 @@ class PRFResult:
 
 
 def precision_recall_f1(predicted, gold, n_classes: int) -> PRFResult:
-    """Standard one-vs-rest P/R/F1 over label sets.
+    """Standard one-vs-rest P/R/F1 over label indicator matrices.
 
-    ``predicted`` and ``gold`` are equal-length sequences of label-index
-    collections. Macro averages classes unweighted; weighted averages by
-    support (classes with zero support are excluded); micro uses global
-    counts.
+    ``predicted`` and ``gold`` are equal-length label collections in any form
+    :func:`label_matrix` accepts. Macro averages classes unweighted; weighted
+    averages by support (classes with zero support are excluded); micro uses
+    global counts.
     """
     if len(predicted) != len(gold):
         raise DataError(f"precision_recall_f1: {len(predicted)} predictions vs {len(gold)} golds")
-    tp = np.zeros(n_classes, dtype=np.int64)
-    fp = np.zeros(n_classes, dtype=np.int64)
-    fn = np.zeros(n_classes, dtype=np.int64)
-    for pred_set, gold_set in zip(predicted, gold):
-        pred_set, gold_set = set(pred_set), set(gold_set)
-        for c in pred_set & gold_set:
-            tp[c] += 1
-        for c in pred_set - gold_set:
-            fp[c] += 1
-        for c in gold_set - pred_set:
-            fn[c] += 1
+    p, g = label_matrix(predicted, n_classes), label_matrix(gold, n_classes)
+    tp, fp, fn = (p & g).sum(axis=0), (p & ~g).sum(axis=0), (~p & g).sum(axis=0)
 
-    per_class = []
-    for c in range(n_classes):
-        p, r, f1 = _prf_from_counts(int(tp[c]), int(fp[c]), int(fn[c]))
-        per_class.append((p, r, f1, int(tp[c] + fn[c])))
-
-    macro = tuple(float(np.mean([row[i] for row in per_class])) for i in range(3))
-    micro = _prf_from_counts(int(tp.sum()), int(fp.sum()), int(fn.sum()))
-    supports = np.array([row[3] for row in per_class], dtype=np.float64)
-    if supports.sum() > 0:
-        weights = supports / supports.sum()
-        weighted = tuple(float(np.sum(weights * [row[i] for row in per_class])) for i in range(3))
-    else:
-        weighted = (0.0, 0.0, 0.0)
-    return PRFResult(per_class, macro, micro, weighted)
+    per_class = _prf(tp, fp, fn)
+    support = tp + fn
+    macro = tuple(float(np.mean(values)) for values in per_class)
+    micro = tuple(float(values) for values in _prf(tp.sum(), fp.sum(), fn.sum()))
+    weighted = (0.0, 0.0, 0.0)
+    if support.sum() > 0:
+        weights = support / support.sum()
+        weighted = tuple(float(np.sum(weights * values)) for values in per_class)
+    rows = list(zip(*(values.tolist() for values in per_class), support.tolist()))
+    return PRFResult(rows, macro, micro, weighted)
 
 
 def macro_f1(predicted, gold, n_classes: int) -> float:
@@ -112,15 +115,24 @@ def accuracy(predicted, gold) -> float:
         raise DataError("accuracy: no examples")
     if len(predicted) != len(gold):
         raise DataError(f"accuracy: {len(predicted)} predictions vs {len(gold)} golds")
-    return sum(1 for p, g in zip(predicted, gold) if p == g) / len(predicted)
+    return float(np.mean(np.asarray(predicted) == np.asarray(gold)))
 
 
-def threshold_labels(probabilities, threshold: float) -> list[set[int]]:
-    """The multi-label decision rule: each row's classes whose probability reaches ``threshold``."""
-    return [set(np.flatnonzero(row).tolist()) for row in np.asarray(probabilities) >= threshold]
+def decide(probabilities, mode: str, threshold: float | None = None) -> np.ndarray:
+    """The decision rule, as a bool ``(n, n_classes)`` matrix.
+
+    Multi-class: each row's argmax, ties to the lowest class index.
+    Multi-label: every class whose probability reaches ``threshold``.
+    """
+    probs = np.asarray(probabilities)
+    if mode == "multi_class":
+        return np.eye(probs.shape[1], dtype=bool)[probs.argmax(axis=1)]
+    if threshold is None:
+        raise DataError("multi_label prediction requires a threshold")
+    return probs >= threshold
 
 
-def select_threshold(probabilities: np.ndarray, gold_sets) -> float:
+def select_threshold(probabilities: np.ndarray, gold) -> float:
     """Grid-search {0.01..0.99} for the threshold maximizing macro-F1.
 
     A class is accepted when its probability reaches the candidate threshold;
@@ -129,20 +141,17 @@ def select_threshold(probabilities: np.ndarray, gold_sets) -> float:
     probs = np.asarray(probabilities, dtype=np.float64)
     if probs.ndim != 2 or probs.shape[0] == 0:
         raise DataError(f"select_threshold: need a non-empty (n, classes) matrix, got {probs.shape}")
-    if len(gold_sets) != probs.shape[0]:
+    if len(gold) != probs.shape[0]:
         raise DataError("select_threshold: row count does not match gold count")
     n_classes = probs.shape[1]
-    gold = [set(g) for g in gold_sets]
-    return max(THRESHOLD_GRID, key=lambda t: macro_f1(threshold_labels(probs, t), gold, n_classes))
+    targets = label_matrix(gold, n_classes)
+    return max(THRESHOLD_GRID, key=lambda t: macro_f1(decide(probs, "multi_label", t), targets, n_classes))
 
 
-def per_label_auc(probabilities: np.ndarray, gold_sets, n_classes: int) -> list[float | None]:
+def per_label_auc(probabilities: np.ndarray, gold, n_classes: int) -> list[float | None]:
     """One-vs-rest AUC of each label's probability column; None where AUC is undefined."""
     probs = np.asarray(probabilities, dtype=np.float64)
-    targets = np.zeros((probs.shape[0], n_classes), dtype=np.int64)
-    for i, g in enumerate(gold_sets):
-        for c in g:
-            targets[i, c] = 1
+    targets = label_matrix(gold, n_classes)
     aucs: list[float | None] = []
     for c in range(n_classes):
         try:
@@ -152,12 +161,12 @@ def per_label_auc(probabilities: np.ndarray, gold_sets, n_classes: int) -> list[
     return aucs
 
 
-def macro_auc(probabilities: np.ndarray, gold_sets, n_classes: int) -> float:
+def macro_auc(probabilities: np.ndarray, gold, n_classes: int) -> float:
     """Unweighted mean of per-label AUCs over the labels where AUC is defined.
 
     Falls back to 0.5 if no label has both a positive and a negative example.
     """
-    defined = [a for a in per_label_auc(probabilities, gold_sets, n_classes) if a is not None]
+    defined = [a for a in per_label_auc(probabilities, gold, n_classes) if a is not None]
     return float(np.mean(defined)) if defined else 0.5
 
 
@@ -221,6 +230,7 @@ def build_report(
     threshold: float | None = None,
 ) -> EvaluationReport:
     n_classes = len(label_names)
+    predicted, gold = label_matrix(predicted, n_classes), label_matrix(gold, n_classes)
     prf = precision_recall_f1(predicted, gold, n_classes)
     report = EvaluationReport(mode=mode, label_names=list(label_names), n_examples=len(gold))
     for name, agg in (("macro", prf.macro), ("micro", prf.micro), ("weighted", prf.weighted)):
@@ -234,7 +244,7 @@ def build_report(
         report.threshold = threshold
 
     if mode == "multi_class":
-        report.accuracy = accuracy([next(iter(p)) for p in predicted], [next(iter(g)) for g in gold])
+        report.accuracy = accuracy(predicted.argmax(axis=1), gold.argmax(axis=1))
 
     for c, name in enumerate(label_names):
         p, r, f1, support = prf.per_class[c]

@@ -168,21 +168,18 @@ def encode_examples(
     label_space: LabelSpace,
     config: ModelConfig,
 ) -> list[EncodedExample]:
-    examples = []
-    for doc in docs:
-        target = np.zeros(len(label_space), dtype=np.float32)
-        for j in doc.labels:
-            target[j] = 1.0
-        examples.append(
-            EncodedExample(
-                text_ids=encode(doc.tokens, vocab, config.text_length),
-                descriptor_ids=build_descriptor_channel_input(
-                    doc.tokens, descriptors, vocab, config.resolved_descriptor_length
-                ),
-                target=target,
-            )
-        )
-    return examples
+    targets = metrics.label_matrix([doc.labels for doc in docs], len(label_space)).astype(np.float32)
+    return [_encode_tokens(doc.tokens, vocab, descriptors, config, target) for doc, target in zip(docs, targets)]
+
+
+def _encode_tokens(
+    tokens: list[str], vocab: Vocabulary, descriptors: ClassDescriptorSet, config: ModelConfig, target: np.ndarray
+) -> EncodedExample:
+    return EncodedExample(
+        text_ids=encode(tokens, vocab, config.text_length),
+        descriptor_ids=build_descriptor_channel_input(tokens, descriptors, vocab, config.resolved_descriptor_length),
+        target=target,
+    )
 
 
 def batch_arrays(examples: list[EncodedExample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -205,9 +202,8 @@ def _validation_metric(model: DualChannelModel, examples: list[EncodedExample]) 
     probs = predict_probabilities(model, examples)
     targets = np.stack([ex.target for ex in examples])
     if model.config.mode == "multi_class":
-        return metrics.accuracy(list(probs.argmax(axis=1)), list(targets.argmax(axis=1)))
-    gold_sets = [set(np.nonzero(t)[0]) for t in targets]
-    return metrics.macro_auc(probs, gold_sets, model.n_classes)
+        return metrics.accuracy(probs.argmax(axis=1), targets.argmax(axis=1))
+    return metrics.macro_auc(probs, targets, model.n_classes)
 
 
 def train(
@@ -272,6 +268,20 @@ def train(
     return model.history
 
 
+def predict_texts(
+    model: DualChannelModel,
+    vocab: Vocabulary,
+    descriptors: ClassDescriptorSet,
+    texts: list[str],
+    threshold: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decisions (bool) and probabilities, both ``(len(texts), n_classes)``; multi-label needs ``threshold``."""
+    no_target = np.zeros(model.n_classes, dtype=np.float32)
+    examples = [_encode_tokens(preprocess_text(text), vocab, descriptors, model.config, no_target) for text in texts]
+    probs = predict_probabilities(model, examples)
+    return metrics.decide(probs, model.config.mode, threshold), probs
+
+
 def predict(
     model: DualChannelModel,
     vocab: Vocabulary,
@@ -279,21 +289,9 @@ def predict(
     text: str,
     threshold: float | None = None,
 ) -> tuple[list[int], np.ndarray]:
-    """Label indices plus the per-class probability row for one raw text.
-
-    Multi-class returns the argmax singleton (ties break to the lowest class
-    index); multi-label returns every class reaching ``threshold``.
-    """
-    tokens = preprocess_text(text)
-    cfg = model.config
-    text_ids = encode(tokens, vocab, cfg.text_length)[None, :]
-    desc_ids = build_descriptor_channel_input(tokens, descriptors, vocab, cfg.resolved_descriptor_length)[None, :]
-    probs = model.forward(text_ids, desc_ids, training=False).data[0]
-    if cfg.mode == "multi_class":
-        return [int(probs.argmax())], probs
-    if threshold is None:
-        raise DataError("multi_label prediction requires a threshold")
-    return sorted(metrics.threshold_labels(probs[None, :], threshold)[0]), probs
+    """Label indices, picked by :func:`metrics.decide`, plus the per-class probability row for one raw text."""
+    picked, probs = predict_texts(model, vocab, descriptors, [text], threshold)
+    return np.flatnonzero(picked[0]).tolist(), probs[0]
 
 
 def file_sha256(path) -> str:

@@ -56,15 +56,21 @@ class EmbeddingLayer:
 
 
 def load_pretrained_embeddings(layer: EmbeddingLayer, path, token_to_id: dict[str, int]) -> int:
-    """Overwrite table rows from a ``token v1 v2 ... vd`` text file.
+    """Overwrite table rows from a whitespace-separated ``token v1 v2 ... vd`` text file.
 
-    Tokens absent from the file keep their random initialization. Returns the
-    number of rows covered. The file dimension must match the layer's.
+    A first line of two integers, the ``count dim`` header of word2vec/fastText
+    ``.vec`` files, is skipped. Tokens absent from the file keep their random
+    initialization. Returns the number of rows covered. The file dimension
+    must match the layer's.
     """
     covered = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
+            parts = line.split()
+            if lineno == 1 and len(parts) == 2 and all(p.isdecimal() for p in parts):
+                if int(parts[1]) != layer.dim:
+                    raise DataError(f"{path}: line 1: header declares {parts[1]}-dimensional vectors, expected {layer.dim}")
+                continue
             if len(parts) < 2:
                 raise DataError(f"{path}: line {lineno}: expected 'token v1 ... vd'")
             tok, values = parts[0], parts[1:]

@@ -178,6 +178,14 @@ class TestTrain:
         assert code == 2
         assert "xml" in capsys.readouterr().err
 
+    def test_empty_validation_file_exit_2(self, corpus_dir, tmp_path, capsys):
+        root, names = corpus_dir
+        empty = tmp_path / "empty_val.csv"
+        empty.write_text("text,label\n")
+        code = main(train_args(root, names, tmp_path / "out", extra=["--val-path", str(empty)]))
+        assert code == 2
+        assert f"{empty}: no records" in capsys.readouterr().err
+
     def test_multi_label_writes_threshold(self, corpus_dir, tmp_path):
         root, names = corpus_dir
         out = tmp_path / "ml"
@@ -226,6 +234,17 @@ class TestEvaluate:
         ])
         assert code == 2
 
+    def test_empty_test_file_exit_2(self, trained, tmp_path, capsys):
+        _, _, out = trained
+        empty = tmp_path / "empty_test.csv"
+        empty.write_text("text,label\n")
+        code = main([
+            "evaluate", "--checkpoint-path", str(out / "checkpoint.bin"),
+            "--test-path", str(empty), "--out-dir", str(tmp_path),
+        ])
+        assert code == 2
+        assert f"{empty}: no records" in capsys.readouterr().err
+
     def test_multi_label_without_threshold_exit_2(self, corpus_dir, tmp_path, capsys):
         root, names = corpus_dir
         out = tmp_path / "ml"
@@ -258,6 +277,31 @@ class TestPredict:
             label, probs = line.split("\t")
             assert label == expected
             assert len(probs.split()) == 3
+
+    def test_input_file_matches_one_text_call_per_line(self, trained, tmp_path, capsys):
+        _, _, out = trained
+        lines = ["markera noise001 noise002", "markerb noise000", " ", "markerc markerc", "noise003"]
+        inputs = tmp_path / "inputs.txt"
+        inputs.write_text("\n".join(lines) + "\n")
+        bundle = ["predict", "--checkpoint-path", str(out / "checkpoint.bin")]
+        assert main([*bundle, "--input-path", str(inputs)]) == 0
+        batched = capsys.readouterr().out.splitlines()
+        assert len(batched) == len(lines)
+        for text, line in zip(lines, batched):
+            assert main([*bundle, "--text", text]) == 0
+            single = capsys.readouterr().out.splitlines()
+            (label, probs), (single_label, single_probs) = line.split("\t"), single[0].split("\t")
+            assert label == single_label
+            gap = np.abs(np.array(probs.split(), dtype=float) - np.array(single_probs.split(), dtype=float))
+            assert gap.max() <= 1e-6
+
+    def test_empty_input_file_prints_nothing(self, trained, tmp_path, capsys):
+        _, _, out = trained
+        inputs = tmp_path / "empty.txt"
+        inputs.write_text("")
+        code = main(["predict", "--checkpoint-path", str(out / "checkpoint.bin"), "--input-path", str(inputs)])
+        assert code == 0
+        assert capsys.readouterr().out == ""
 
     def test_empty_text_valid(self, trained, capsys):
         _, _, out = trained
@@ -310,15 +354,15 @@ class TestDecisionRule:
         at = float(probs[0, 0])
         assert main([*evaluate, "--threshold", repr(at)]) == 0
         predicted = reports[1][0]
-        assert 0 in predicted[0]
-        assert predicted == metrics.threshold_labels(probs, at)
+        assert predicted[0, 0]
+        np.testing.assert_array_equal(predicted, metrics.decide(probs, "multi_label", at))
 
         model, _ = load_checkpoint(out / "checkpoint.bin")
         vocab, descriptors = load_vocabulary(out / "vocab.tsv"), load_descriptors(out / "descriptors.tsv")
         _, row = predict(model, vocab, descriptors, "markera noise001", threshold=0.5)
         picked, _ = predict(model, vocab, descriptors, "markera noise001", threshold=float(row[1]))
         assert 1 in picked
-        assert picked == sorted(metrics.threshold_labels(row[None, :], float(row[1]))[0])
+        assert picked == np.flatnonzero(metrics.decide(row[None, :], "multi_label", float(row[1]))[0]).tolist()
 
         # the smallest grid threshold that accepts 0.31 but not 0.30 is 0.31 itself
         assert metrics.select_threshold(np.array([[0.31], [0.30]]), [{0}, set()]) == 0.31

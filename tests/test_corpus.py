@@ -202,6 +202,13 @@ class TestLoadDataset:
         assert docs[0].labels == frozenset([0, 1])
         assert docs[1].labels == frozenset()
 
+    @pytest.mark.parametrize("format, content", [("csv", "text,label\n\n"), ("jsonl", "\n")])
+    def test_file_without_records_rejected(self, tmp_path, format, content):
+        path = tmp_path / f"data.{format}"
+        path.write_text(content)
+        with pytest.raises(DataError, match="no records"):
+            load_dataset(path, format, LabelSpace(("x",), "multi_label"))
+
     def test_jsonl_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"text": "ok", "labels": ["x"]}\nnot json\n')

@@ -6,14 +6,89 @@ from hypothesis import strategies as st
 from descnet.errors import DataError
 from descnet.metrics import (
     THRESHOLD_GRID,
+    PRFResult,
     accuracy,
     build_report,
+    decide,
+    label_matrix,
     macro_f1,
     precision_recall_f1,
     roc_auc,
     select_threshold,
 )
 from descnet.verify import auc_oracle
+
+
+def _prf_from_counts(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f1
+
+
+def prf_oracle(predicted, gold, n_classes: int) -> PRFResult:
+    """P/R/F1 counted with set algebra, one example at a time: the reference for the matrix path."""
+    tp, fp, fn = [0] * n_classes, [0] * n_classes, [0] * n_classes
+    for pred_set, gold_set in zip(predicted, gold):
+        pred_set, gold_set = set(pred_set), set(gold_set)
+        for c in pred_set & gold_set:
+            tp[c] += 1
+        for c in pred_set - gold_set:
+            fp[c] += 1
+        for c in gold_set - pred_set:
+            fn[c] += 1
+    per_class = [(*_prf_from_counts(tp[c], fp[c], fn[c]), tp[c] + fn[c]) for c in range(n_classes)]
+    macro = tuple(float(np.mean([row[i] for row in per_class])) for i in range(3))
+    micro = _prf_from_counts(sum(tp), sum(fp), sum(fn))
+    supports = np.array([row[3] for row in per_class], dtype=np.float64)
+    weighted = (0.0, 0.0, 0.0)
+    if supports.sum() > 0:
+        weights = supports / supports.sum()
+        weighted = tuple(float(np.sum(weights * [row[i] for row in per_class])) for i in range(3))
+    return PRFResult(per_class, macro, micro, weighted)
+
+
+def above(probs: np.ndarray, t: float) -> list[set[int]]:
+    return [{c for c, p in enumerate(row) if p >= t} for row in probs]
+
+
+@st.composite
+def scored_label_sets(draw):
+    """Probabilities on a few two-decimal levels (so ties occur) and gold label sets (empty ones included)."""
+    n_classes = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 30))
+    levels = draw(st.lists(st.integers(0, 100).map(lambda k: k / 100), min_size=1, max_size=4))
+    cells = draw(st.lists(st.sampled_from(levels), min_size=n * n_classes, max_size=n * n_classes))
+    gold = [draw(st.sets(st.integers(0, n_classes - 1))) for _ in range(n)]
+    return np.array(cells).reshape(n, n_classes), gold, n_classes
+
+
+class TestLabelMatrix:
+    def test_sets_and_matrix_give_the_same_bool_matrix(self):
+        expected = np.array([[1, 0, 1], [0, 0, 0], [0, 1, 0]], dtype=bool)
+        np.testing.assert_array_equal(label_matrix([{0, 2}, set(), [1]], 3), expected)
+        np.testing.assert_array_equal(label_matrix(expected.astype(np.float32), 3), expected)
+
+    @pytest.mark.parametrize("labels", [[{0}, {-1}], [{2}, {0}], np.ones((2, 3)), np.full((2, 2), 2.0)])
+    def test_out_of_range_labels_rejected(self, labels):
+        with pytest.raises(DataError):
+            label_matrix(labels, 2)
+        with pytest.raises(DataError):
+            precision_recall_f1([{0}, {1}], labels, n_classes=2)
+
+
+class TestDecide:
+    def test_multi_class_one_hot_argmax_ties_to_lowest_index(self):
+        probs = np.array([[0.2, 0.4, 0.4], [0.5, 0.1, 0.4]])
+        np.testing.assert_array_equal(decide(probs, "multi_class"), [[0, 1, 0], [1, 0, 0]])
+
+    def test_multi_label_reaching_threshold_accepted(self):
+        probs = np.array([[0.3, 0.29, 0.31]])
+        np.testing.assert_array_equal(decide(probs, "multi_label", 0.3), [[1, 0, 1]])
+
+    def test_multi_label_requires_threshold(self):
+        with pytest.raises(DataError, match="requires a threshold"):
+            decide(np.array([[0.5]]), "multi_label")
 
 
 class TestRocAuc:
@@ -105,6 +180,17 @@ class TestPrecisionRecallF1:
         with pytest.raises(DataError):
             precision_recall_f1([{0}], [{0}, {1}], n_classes=2)
 
+    @settings(max_examples=200)
+    @given(scored_label_sets(), st.integers(0, 100))
+    def test_equals_set_oracle(self, instance, percent):
+        probs, gold, n_classes = instance
+        predicted = above(probs, percent / 100)
+        expected = prf_oracle(predicted, gold, n_classes)
+        for pred, g in ((predicted, gold), (label_matrix(predicted, n_classes), label_matrix(gold, n_classes))):
+            result = precision_recall_f1(pred, g, n_classes)
+            assert result.per_class == expected.per_class
+            assert (result.macro, result.micro, result.weighted) == (expected.macro, expected.micro, expected.weighted)
+
 
 class TestAccuracy:
     def test_all_correct(self):
@@ -151,6 +237,14 @@ class TestSelectThreshold:
         assert scores[chosen] == pytest.approx(best, abs=1e-15)
         assert chosen == min(t for t, s in scores.items() if s == best)
 
+    @settings(max_examples=100)
+    @given(scored_label_sets())
+    def test_equals_grid_scored_by_set_oracle(self, instance):
+        probs, gold, n_classes = instance
+        expected = max(THRESHOLD_GRID, key=lambda t: prf_oracle(above(probs, t), gold, n_classes).macro[2])
+        assert select_threshold(probs, gold) == expected
+        assert select_threshold(probs, label_matrix(gold, n_classes)) == expected
+
     def test_degenerate_label_does_not_break_selection(self):
         probs = np.array([[0.9, 0.2], [0.1, 0.3], [0.8, 0.1]])
         golds = [{0}, set(), {0}]  # label 1 never positive
@@ -178,6 +272,23 @@ class TestReport:
         assert report.threshold == 0.5
         assert report.macro_auc == pytest.approx(1.0)
         assert report.per_class[0]["auc"] == 1.0
+
+    @pytest.mark.parametrize("mode", ["multi_class", "multi_label"])
+    def test_label_sets_and_indicator_matrices_give_the_same_report(self, mode):
+        rng = np.random.default_rng(29)
+        probs = np.round(rng.random((25, 3)), 1)
+        if mode == "multi_class":
+            gold = [{int(c)} for c in rng.integers(0, 3, size=25)]
+            predicted = [{int(row.argmax())} for row in probs]
+        else:
+            gold = [set(np.flatnonzero(rng.random(3) < 0.4).tolist()) for _ in range(25)]
+            predicted = above(probs, 0.5)
+        from_sets = build_report(mode, ["a", "b", "c"], predicted, gold, probs, 0.5)
+        from_matrices = build_report(
+            mode, ["a", "b", "c"], label_matrix(predicted, 3), label_matrix(gold, 3).astype(np.float32), probs, 0.5
+        )
+        assert from_sets.to_text() == from_matrices.to_text()
+        assert from_sets.to_json() == from_matrices.to_json()
 
     def test_permutation_equivariance_of_class_axis(self):
         rng = np.random.default_rng(5)

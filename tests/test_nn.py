@@ -304,6 +304,30 @@ class TestPretrainedLoader:
         with pytest.raises(DataError, match="2-dimensional"):
             nn.load_pretrained_embeddings(layer, path, {"apple": 2})
 
+    def test_vec_header_line_skipped(self, tmp_path):
+        rng = np.random.default_rng(19)
+        layer = nn.EmbeddingLayer(5, 3, rng, np.float32)
+        path = tmp_path / "vectors.vec"
+        path.write_text("2 3\napple 1.0 2.0 3.0\nbanana 4 5 6\n")
+        assert nn.load_pretrained_embeddings(layer, path, {"apple": 2, "banana": 3}) == 2
+        np.testing.assert_allclose(layer.table.data[2:4], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
+    def test_repeated_and_trailing_spaces_accepted(self, tmp_path):
+        rng = np.random.default_rng(20)
+        layer = nn.EmbeddingLayer(5, 3, rng, np.float32)
+        path = tmp_path / "vectors.txt"
+        path.write_text("apple  1.0   2.0 3.0 \nbanana\t4 5 6   \r\n")
+        assert nn.load_pretrained_embeddings(layer, path, {"apple": 2, "banana": 3}) == 2
+        np.testing.assert_allclose(layer.table.data[2:4], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
+    def test_vec_header_dimension_mismatch_rejected(self, tmp_path):
+        rng = np.random.default_rng(21)
+        layer = nn.EmbeddingLayer(5, 3, rng, np.float32)
+        path = tmp_path / "vectors.vec"
+        path.write_text("1 300\napple 1.0 2.0 3.0\n")
+        with pytest.raises(DataError, match="line 1: header declares 300-dimensional"):
+            nn.load_pretrained_embeddings(layer, path, {"apple": 2})
+
     def test_padding_row_never_overwritten(self, tmp_path):
         rng = np.random.default_rng(18)
         layer = nn.EmbeddingLayer(5, 2, rng, np.float32)
