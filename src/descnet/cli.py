@@ -54,7 +54,7 @@ class RunConfig(ModelConfig):
     checkpoint_path: str = ""
     threshold_path: str = ""
     input_path: str = ""
-    text: str = ""
+    text: str | None = None  # None means: not given; "" is an empty document
     out_dir: str = "out"
     threshold: float = -1.0  # -1 means: not set
     val_fraction: float = 0.1
@@ -72,7 +72,7 @@ class RunConfig(ModelConfig):
         return LabelSpace(names, self.mode)
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_FIELD_TYPES = {f.name: f.type.removesuffix(" | None") for f in fields(RunConfig)}
 
 
 def _coerce(key: str, raw: str):
@@ -127,7 +127,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 def echo_config(config: RunConfig) -> Path:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [f"{f.name} = {getattr(config, f.name)}" for f in fields(RunConfig)]
+    values = {f.name: getattr(config, f.name) for f in fields(RunConfig)}
+    lines = [f"{name} = {value}" for name, value in values.items() if value is not None]
     (out_dir / "effective_config.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return out_dir
 
@@ -283,7 +284,7 @@ def cmd_evaluate(config: RunConfig) -> int:
 
 def cmd_predict(config: RunConfig) -> int:
     model, meta, vocab, descriptors, threshold = _load_bundle(config)
-    if config.text:
+    if config.text is not None:
         texts = [config.text]
     elif config.input_path:
         texts = Path(config.input_path).read_text(encoding="utf-8").splitlines()
@@ -321,12 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", default="", help="flat key = value config file")
         for f in fields(RunConfig):
             flag = "--" + f.name.replace("_", "-")
-            sub.add_argument(flag, dest=f.name, default=None, metavar=f.type.upper(),
+            sub.add_argument(flag, dest=f.name, default=None, metavar=_FIELD_TYPES[f.name].upper(),
                              help=f"override {f.name} (default: {getattr(defaults, f.name)!r})")
         if command == "verify":
             sub.add_argument("--quick", action="store_true", help="smaller sample counts")
             sub.add_argument("--inject-fault", action="store_true",
-                             help="corrupt one adjoint to prove the checks catch it (must FAIL)")
+                             help="corrupt one adjoint and the batch trim to prove the checks catch them (must FAIL)")
     return parser
 
 

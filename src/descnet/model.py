@@ -72,6 +72,11 @@ class ModelConfig:
         return self.descriptor_length if self.descriptor_length else self.text_length
 
 
+def trim_length(lengths: np.ndarray) -> int:
+    """Steps a batch with these valid lengths needs: its longest sequence, and at least one."""
+    return max(1, int(np.max(lengths, initial=0)))
+
+
 @dataclass
 class EpochStats:
     epoch: int
@@ -126,21 +131,30 @@ class DualChannelModel:
             return [None] * 4
         return [nn.dropout_mask(rng, (batch, self.config.gru_units), rate, self.dtype) for _ in range(4)]
 
+    def _embed(self, layer: nn.EmbeddingLayer, ids: np.ndarray, lengths: np.ndarray, training: bool, rng) -> Tensor:
+        """Embedded first ``trim_length(lengths)`` columns of ``ids``, after dropout drawn at the padded width."""
+        embedded = layer.forward(ids[:, : trim_length(lengths)])
+        draw_shape = (*ids.shape, self.config.d_embed)
+        return nn.dropout(embedded, self.config.dropout_rate, training, rng, draw_shape=draw_shape)
+
     def forward(self, text_ids: np.ndarray, desc_ids: np.ndarray, training: bool = False, rng=None) -> Tensor:
-        """Per-class probabilities, shape (batch, n_classes)."""
+        """Per-class probabilities, shape (batch, n_classes).
+
+        Each channel is cut to the batch's longest valid sequence before it is
+        embedded, so the BiGRUs do not step over columns that are padding in
+        every row. The output does not depend on the padding width.
+        """
         cfg = self.config
-        text_lengths = (np.asarray(text_ids) != PAD_ID).sum(axis=1)
-        desc_lengths = (np.asarray(desc_ids) != PAD_ID).sum(axis=1)
+        text_lengths = (text_ids != PAD_ID).sum(axis=1)
+        desc_lengths = (desc_ids != PAD_ID).sum(axis=1)
         masks = self._recurrent_masks(text_ids.shape[0], training, rng)
 
-        emb_text = self.embedding.forward(text_ids)
-        emb_text = nn.dropout(emb_text, cfg.dropout_rate, training, rng)
+        emb_text = self._embed(self.embedding, text_ids, text_lengths, training, rng)
         hidden_text = nn.bigru_forward(self.text_fwd, self.text_bwd, emb_text, text_lengths, masks[0], masks[1])
         pooled_max = nn.max_pool_time(hidden_text, text_lengths)
         pooled_avg = nn.avg_pool_time(hidden_text, text_lengths)
 
-        emb_desc = self.desc_embedding.forward(desc_ids)
-        emb_desc = nn.dropout(emb_desc, cfg.dropout_rate, training, rng)
+        emb_desc = self._embed(self.desc_embedding, desc_ids, desc_lengths, training, rng)
         hidden_desc = nn.bigru_forward(self.desc_fwd, self.desc_bwd, emb_desc, desc_lengths, masks[2], masks[3])
         context, _ = nn.attention_forward(self.attention, hidden_desc, desc_lengths)
 

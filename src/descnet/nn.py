@@ -270,15 +270,24 @@ class DenseLayer:
         return logits
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: zero at ``rate``, scale survivors by 1/(1-rate)."""
+def dropout(
+    x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None, draw_shape=None
+) -> Tensor:
+    """Inverted dropout: zero at ``rate``, scale survivors by 1/(1-rate).
+
+    ``draw_shape``, when given, is a shape at least as large as ``x`` per
+    axis: the uniforms are drawn at that shape and cut down to ``x``'s
+    leading corner, so a trimmed input consumes the same random numbers as
+    the untrimmed one.
+    """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
-    keep = (rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
+    uniforms = rng.random(x.shape if draw_shape is None else draw_shape)[tuple(slice(n) for n in x.shape)]
+    keep = (uniforms >= rate).astype(x.data.dtype) / (1.0 - rate)
     return nm.mul(x, keep)
 
 

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics, nn
+from . import model as model_module
 from . import numerics as nm
-from .corpus import Document, LabelSpace, Vocabulary, build_vocabulary
+from .corpus import PAD_ID, Document, LabelSpace, Vocabulary, build_vocabulary
 from .descriptors import anova_f_score, build_contingency, score_tokens
 from .model import DualChannelModel, ModelConfig
-from .numerics import Parameter, Tensor, grad_check
+from .numerics import Parameter, Tape, Tensor, grad_check
 
 
 @dataclass
@@ -98,6 +99,44 @@ def auc_oracle(scores, labels) -> float:
             elif p == q:
                 total += 0.5
     return total / (positives.size * negatives.size)
+
+
+def padded_forward(model: DualChannelModel, text_ids, desc_ids, training: bool = False, rng=None) -> Tensor:
+    """``DualChannelModel.forward`` without the trim: both BiGRUs run over the full padded width."""
+    cfg = model.config
+    text_lengths = (np.asarray(text_ids) != PAD_ID).sum(axis=1)
+    desc_lengths = (np.asarray(desc_ids) != PAD_ID).sum(axis=1)
+    masks = model._recurrent_masks(text_ids.shape[0], training, rng)
+
+    emb_text = model.embedding.forward(text_ids)
+    emb_text = nn.dropout(emb_text, cfg.dropout_rate, training, rng)
+    hidden_text = nn.bigru_forward(model.text_fwd, model.text_bwd, emb_text, text_lengths, masks[0], masks[1])
+    pooled_max = nn.max_pool_time(hidden_text, text_lengths)
+    pooled_avg = nn.avg_pool_time(hidden_text, text_lengths)
+
+    emb_desc = model.desc_embedding.forward(desc_ids)
+    emb_desc = nn.dropout(emb_desc, cfg.dropout_rate, training, rng)
+    hidden_desc = nn.bigru_forward(model.desc_fwd, model.desc_bwd, emb_desc, desc_lengths, masks[2], masks[3])
+    context, _ = nn.attention_forward(model.attention, hidden_desc, desc_lengths)
+
+    features = nm.concat([pooled_max, pooled_avg, context], axis=1)
+    features = nn.dropout(features, cfg.dropout_rate, training, rng)
+    return model.head.forward(features)
+
+
+def training_gradients(forward, model: DualChannelModel, text_ids, desc_ids, targets, rng) -> tuple[float, dict[str, np.ndarray]]:
+    """Loss and every parameter gradient of one training-mode ``forward(model, text_ids, desc_ids, training, rng)``."""
+    model.zero_grad()
+    with Tape() as tape:
+        loss = model.loss(forward(model, text_ids, desc_ids, True, rng), targets)
+    nm.backward(loss, tape)
+    return loss.item(), {p.name: p.grad.copy() for p in model.parameters()}
+
+
+def relative_gap(produced: np.ndarray, expected: np.ndarray) -> float:
+    """Largest absolute difference over the largest magnitude of ``expected``; 0 when both are all zero."""
+    gap = float(np.abs(produced - expected).max(initial=0.0))
+    return gap / max(float(np.abs(expected).max(initial=0.0)), np.finfo(np.float64).tiny)
 
 
 def relative_error(x: float, y: float) -> float:
@@ -296,13 +335,13 @@ def check_layer_gradients(seed: int = 11) -> CheckResult:
     return CheckResult("layer gradients vs central differences", worst < 1e-6, worst, 1e-6, f"worst: {worst_name}")
 
 
-def toy_model(mode: str = "multi_class", seed: int = 3) -> DualChannelModel:
+def toy_model(mode: str = "multi_class", seed: int = 3, dropout_rate: float = 0.0) -> DualChannelModel:
     config = ModelConfig(
         mode=mode,
         d_embed=8,
         gru_units=4,
-        dropout_rate=0.0,
-        recurrent_dropout_rate=0.0,
+        dropout_rate=dropout_rate,
+        recurrent_dropout_rate=dropout_rate,
         descriptor_dimension=2,
         text_length=6,
         descriptor_length=4,
@@ -331,6 +370,36 @@ def check_full_model_gradient(model_seed: int = 14, data_seed: int = 3) -> Check
 
     err = grad_check(f, model.parameters(), epsilon=1e-4)
     return CheckResult("full dual-channel model gradient (toy sizes)", err < 1e-4, err, 1e-4)
+
+
+def check_trimmed_forward(seed: int = 5) -> CheckResult:
+    """The trimmed ``forward`` against :func:`padded_forward`, on a batch where both channels trim."""
+    rng = np.random.default_rng(seed)
+    text_ids = rng.integers(1, 20, size=(3, 6))
+    text_ids[:, 4:] = 0
+    text_ids[1, 2:] = 0
+    desc_ids = np.zeros((3, 4), dtype=np.int64)
+    desc_ids[0, :2] = rng.integers(1, 20, size=2)
+    desc_ids[1, :1] = rng.integers(1, 20, size=1)
+    targets = np.eye(3)[[0, 1, 2]]
+
+    model = toy_model()
+    worst_prob = relative_gap(model.forward(text_ids, desc_ids).data, padded_forward(model, text_ids, desc_ids).data)
+    model = toy_model(dropout_rate=0.3)
+    trimmed_rng, padded_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    _, trimmed = training_gradients(DualChannelModel.forward, model, text_ids, desc_ids, targets, trimmed_rng)
+    _, padded = training_gradients(padded_forward, model, text_ids, desc_ids, targets, padded_rng)
+    worst_grad = max(relative_gap(trimmed[name], padded[name]) for name in padded)
+    same_stream = trimmed_rng.bit_generator.state == padded_rng.bit_generator.state
+    passed = worst_prob <= 1e-12 and worst_grad <= 1e-10 and same_stream
+    return CheckResult(
+        "trimmed forward vs padded-width oracle (f64 toy model)",
+        passed,
+        max(worst_prob, worst_grad),
+        1e-10,
+        f"probabilities {worst_prob:.1e} (tolerance 1e-12), gradients {worst_grad:.1e}, "
+        f"random stream {'kept' if same_stream else 'diverged'}",
+    )
 
 
 def check_probability_invariants(n_trials: int = 1000, seed: int = 17) -> CheckResult:
@@ -397,15 +466,17 @@ def _corrupted_tanh(a: Tensor) -> Tensor:
 def run_all(quick: bool = False, inject_fault: bool = False) -> list[CheckResult]:
     """Run every check; ``quick`` shrinks the sample counts for smoke testing.
 
-    ``inject_fault`` deliberately corrupts the tanh adjoint for the duration,
-    which must make the gradient checks fail — used to prove the checks can
-    actually catch a broken adjoint.
+    ``inject_fault`` deliberately corrupts the tanh adjoint and makes the
+    batch trim drop one valid step for the duration, which must make the
+    gradient checks and the trim check fail — used to prove the checks can
+    actually catch a broken adjoint or a wrong trim.
     """
     n_corpora = 100 if quick else 1000
     n_trials = 100 if quick else 1000
-    original_tanh = nm.tanh
+    original_tanh, original_trim = nm.tanh, model_module.trim_length
     if inject_fault:
         nm.tanh = _corrupted_tanh
+        model_module.trim_length = lambda lengths: original_trim(lengths) - 1
     try:
         results = [
             check_chi2_equivalence(n_corpora),
@@ -414,9 +485,10 @@ def run_all(quick: bool = False, inject_fault: bool = False) -> list[CheckResult
             check_primitive_gradients(),
             check_layer_gradients(),
             check_full_model_gradient(),
+            check_trimmed_forward(),
             check_probability_invariants(n_trials),
             check_auc_equivalence(),
         ]
     finally:
-        nm.tanh = original_tanh
+        nm.tanh, model_module.trim_length = original_tanh, original_trim
     return results

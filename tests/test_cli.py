@@ -310,6 +310,19 @@ class TestPredict:
         label, probs = capsys.readouterr().out.strip().split("\t")
         assert label in ("classa", "classb", "classc")
 
+    def test_given_empty_text_predicted_like_blank_text(self, trained, capsys):
+        _, _, out = trained
+        bundle = ["predict", "--checkpoint-path", str(out / "checkpoint.bin")]
+        assert main([*bundle, "--text", " "]) == 0
+        blank = capsys.readouterr().out
+        assert main([*bundle, "--text", ""]) == 0
+        assert capsys.readouterr().out == blank
+
+    def test_neither_text_nor_input_path_exit_2(self, trained, capsys):
+        _, _, out = trained
+        assert main(["predict", "--checkpoint-path", str(out / "checkpoint.bin")]) == 2
+        assert "nothing to predict" in capsys.readouterr().err
+
     def test_multi_label_high_threshold_empty_labels_probs_printed(self, corpus_dir, tmp_path, capsys):
         root, names = corpus_dir
         out = tmp_path / "ml"
@@ -388,13 +401,14 @@ class TestVerifyCommand:
     def test_fresh_build_passes(self, capsys):
         assert main(["verify", "--quick"]) == 0
         out = capsys.readouterr().out
-        assert "8/8 checks passed" in out
+        assert "9/9 checks passed" in out
         assert "tolerance" in out
 
     def test_injected_fault_fails(self, capsys):
         assert main(["verify", "--quick", "--inject-fault"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
+        assert "FAIL  trimmed forward vs padded-width oracle" in out
 
 
 class TestExitCodes:

@@ -3,7 +3,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from descnet import nn
 from descnet.corpus import LabelSpace, build_vocabulary
 from descnet.descriptors import extract_descriptors
 from descnet.errors import ArtifactError, DataError
@@ -18,6 +21,7 @@ from descnet.model import (
     train,
 )
 from descnet.synth import marker_corpus, to_documents
+from descnet.verify import padded_forward, training_gradients
 
 
 def tiny_config(mode="multi_class", **overrides):
@@ -97,6 +101,103 @@ class TestForward:
     def test_dense_feature_width_contract(self):
         model, *_ = tiny_setup()
         assert model.head.weights.shape[0] == 6 * model.config.gru_units
+
+
+def trim_model(dropout: float = 0.0) -> DualChannelModel:
+    config = tiny_config(text_length=24, dropout_rate=dropout, recurrent_dropout_rate=dropout)
+    return DualChannelModel(config, vocab_size=50, n_classes=3)
+
+
+def padded_batch(text_lengths=(14, 3, 0, 9, 11, 5), desc_lengths=(10, 0, 2, 6, 0, 1), seed=0):
+    """Suffix-padded id arrays of ``trim_model``'s width 24; both channels trim (to 14 and 10 steps with the defaults)."""
+    rng = np.random.default_rng(seed)
+    text_ids = np.zeros((len(text_lengths), 24), dtype=np.int64)
+    desc_ids = np.zeros((len(desc_lengths), 24), dtype=np.int64)
+    for row, (n_text, n_desc) in enumerate(zip(text_lengths, desc_lengths)):
+        text_ids[row, :n_text] = rng.integers(1, 50, size=n_text)
+        desc_ids[row, :n_desc] = rng.integers(1, 50, size=n_desc)
+    return text_ids, desc_ids
+
+
+def bigru_outputs(monkeypatch, forward, model, text_ids, desc_ids) -> list[np.ndarray]:
+    """The text and descriptor BiGRU outputs of one eval-mode ``forward`` call."""
+    outputs = []
+    original = nn.bigru_forward
+
+    def recording(*args, **kwargs):
+        hidden = original(*args, **kwargs)
+        outputs.append(hidden.data)
+        return hidden
+
+    monkeypatch.setattr(nn, "bigru_forward", recording)
+    forward(model, text_ids, desc_ids)
+    monkeypatch.setattr(nn, "bigru_forward", original)
+    return outputs
+
+
+class TestTrimmedForward:
+    """``forward`` cuts each channel to the batch's longest sequence; the untrimmed oracle is ``verify.padded_forward``."""
+
+    def test_eval_probabilities_match_padded_oracle(self):
+        model = trim_model()
+        text_ids, desc_ids = padded_batch()
+        trimmed = model.forward(text_ids, desc_ids).data
+        padded = padded_forward(model, text_ids, desc_ids).data
+        # only the attention softmax's sum order differs (numpy sums 8 lanes from 8 steps up)
+        np.testing.assert_allclose(trimmed, padded, rtol=0, atol=1e-7)
+
+    def test_bigru_outputs_bit_identical_to_padded_prefix(self, monkeypatch):
+        model = trim_model()
+        text_ids, desc_ids = padded_batch()
+        trimmed = bigru_outputs(monkeypatch, DualChannelModel.forward, model, text_ids, desc_ids)
+        padded = bigru_outputs(monkeypatch, padded_forward, model, text_ids, desc_ids)
+        assert [h.shape[1] for h in trimmed] == [14, 10]
+        for short, full in zip(trimmed, padded):
+            steps = short.shape[1]
+            np.testing.assert_array_equal(short, full[:, :steps])
+            np.testing.assert_array_equal(full[:, steps:], 0.0)
+
+    def test_training_step_matches_padded_oracle(self):
+        model = trim_model(dropout=0.3)
+        text_ids, desc_ids = padded_batch()
+        targets = np.eye(3, dtype=np.float32)[[0, 1, 2, 0, 1, 2]]
+        loss_t, grads_t = training_gradients(
+            DualChannelModel.forward, model, text_ids, desc_ids, targets, np.random.default_rng(4)
+        )
+        loss_p, grads_p = training_gradients(padded_forward, model, text_ids, desc_ids, targets, np.random.default_rng(4))
+        assert abs(loss_t - loss_p) <= 1e-6 * abs(loss_p)
+        # Relative to the step's largest gradient entry: attention.bias's gradient is a
+        # cancelling sum ~1e5 times smaller, so its own-scale gap shows only f32 rounding.
+        scale = max(np.abs(g).max() for g in grads_p.values())
+        for name, expected in grads_p.items():
+            assert np.abs(grads_t[name] - expected).max() <= 1e-6 * scale, name
+
+    def test_random_stream_same_as_padded_oracle(self):
+        model = trim_model(dropout=0.3)
+        text_ids, desc_ids = padded_batch()
+        trimmed_rng, padded_rng = np.random.default_rng(9), np.random.default_rng(9)
+        model.forward(text_ids, desc_ids, training=True, rng=trimmed_rng)
+        padded_forward(model, text_ids, desc_ids, training=True, rng=padded_rng)
+        assert trimmed_rng.bit_generator.state == padded_rng.bit_generator.state
+        assert trimmed_rng.random() == padded_rng.random()
+
+    def test_all_empty_descriptor_rows_trim_to_one_step(self, monkeypatch):
+        model = trim_model()
+        text_ids, desc_ids = padded_batch(desc_lengths=(0,) * 6)
+        hidden_text, hidden_desc = bigru_outputs(monkeypatch, DualChannelModel.forward, model, text_ids, desc_ids)
+        assert hidden_desc.shape[1] == 1
+        probs = model.forward(text_ids, desc_ids).data
+        assert np.all(np.isfinite(probs))
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 16), st.integers(0, 16), st.integers(0, 2**32 - 1))
+    def test_extra_pad_columns_change_nothing(self, extra_text, extra_desc, seed):
+        model = trim_model()
+        text_ids, desc_ids = padded_batch(seed=seed)
+        base = model.forward(text_ids, desc_ids).data
+        wider = model.forward(np.pad(text_ids, ((0, 0), (0, extra_text))), np.pad(desc_ids, ((0, 0), (0, extra_desc))))
+        np.testing.assert_array_equal(wider.data, base)
 
 
 class TestTrain:
