@@ -14,7 +14,6 @@ from .corpus import (
     encode,
     load_dataset,
     preprocess_text,
-    split,
 )
 from .descriptors import (
     ClassDescriptorSet,

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, nn
-from .corpus import LabelSpace, build_vocabulary, load_dataset, load_vocabulary, save_vocabulary
+from .corpus import LabelSpace, build_vocabulary, load_dataset, load_vocabulary, open_text, save_vocabulary, split
 from .descriptors import extract_descriptors, load_descriptors, save_descriptors
 from .errors import ArtifactError, DataError
 from .model import (
@@ -62,6 +62,13 @@ class RunConfig(ModelConfig):
     drop_overlength: bool = False
     min_doc_frequency: int = 2
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 < self.val_fraction < 1.0:
+            raise DataError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
+        if not (self.threshold == -1.0 or 0.0 <= self.threshold <= 1.0):
+            raise DataError(f"threshold must be in [0, 1] (or -1: not set), got {self.threshold}")
+
     def model_config(self) -> ModelConfig:
         return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
@@ -97,7 +104,7 @@ def _coerce(key: str, raw: str):
 
 def parse_config_file(path) -> dict:
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -113,15 +120,13 @@ def parse_config_file(path) -> dict:
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    if args.config:
-        for key, value in parse_config_file(args.config).items():
-            setattr(config, key, value)
+    """The config file's values under the flag overrides, validated as a whole."""
+    values = parse_config_file(args.config) if args.config else {}
     for f in fields(RunConfig):
         override = getattr(args, f.name, None)
         if override is not None:
-            setattr(config, f.name, _coerce(f.name, str(override)) if isinstance(override, str) else override)
-    return config
+            values[f.name] = _coerce(f.name, str(override)) if isinstance(override, str) else override
+    return RunConfig(**values)
 
 
 def echo_config(config: RunConfig) -> Path:
@@ -167,10 +172,7 @@ def cmd_train(config: RunConfig) -> int:
     if config.val_path:
         train_docs, val_docs = docs, load_dataset(config.val_path, config.format, labels)
     else:
-        order = np.random.default_rng([config.seed, 2]).permutation(len(docs))
-        n_val = max(1, int(len(docs) * config.val_fraction))
-        val_docs = [docs[i] for i in order[:n_val]]
-        train_docs = [docs[i] for i in order[n_val:]]
+        train_docs, val_docs = split(docs, config.val_fraction, config.seed)
     if config.drop_overlength:
         train_docs = [d for d in train_docs if len(d.tokens) <= config.text_length]
     if not train_docs:
@@ -244,6 +246,8 @@ def _load_bundle(config: RunConfig):
     if meta.descriptor_sha256 and file_sha256(descriptor_path) != meta.descriptor_sha256:
         raise ArtifactError(f"{descriptor_path}: content hash does not match the checkpoint's descriptors")
     vocab = load_vocabulary(vocab_path)
+    if len(vocab) != model.vocab_size:
+        raise ArtifactError(f"{vocab_path}: {len(vocab)} tokens, but the checkpoint's embedding has {model.vocab_size} rows")
     descriptors = load_descriptors(descriptor_path)
     threshold = _resolve_threshold(config, checkpoint_path) if model.config.mode == "multi_label" else None
     return model, meta, vocab, descriptors, threshold
@@ -258,10 +262,15 @@ def _resolve_threshold(config: RunConfig, checkpoint_path: Path) -> float:
             f"multi_label needs a threshold: none at {path}; pass --threshold or --threshold-path "
             "(train writes threshold.txt next to the checkpoint)"
         )
+    with open_text(path) as fh:
+        text = fh.read().strip()
     try:
-        return float(path.read_text().strip())
+        threshold = float(text)
     except ValueError:
         raise DataError(f"{path}: expected a single decimal threshold")
+    if not 0.0 <= threshold <= 1.0:
+        raise DataError(f"{path}: threshold {threshold} is outside [0, 1]")
+    return threshold
 
 
 def cmd_evaluate(config: RunConfig) -> int:
@@ -287,7 +296,8 @@ def cmd_predict(config: RunConfig) -> int:
     if config.text is not None:
         texts = [config.text]
     elif config.input_path:
-        texts = Path(config.input_path).read_text(encoding="utf-8").splitlines()
+        with open_text(config.input_path) as fh:
+            texts = fh.read().splitlines()
     else:
         raise DataError("nothing to predict: pass --text or --input-path")
     if not texts:

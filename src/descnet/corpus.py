@@ -11,7 +11,9 @@ import json
 import re
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +33,19 @@ _RUN_RE = re.compile(r"(.)\1{2,}", flags=re.DOTALL)
 # \W matches exactly the non-alphanumerics (Unicode letters and digits);
 # underscore is word-class for re, so strip it explicitly.
 _NON_ALNUM_RE = re.compile(r"[\W_]")
+
+
+@contextmanager
+def open_text(path, newline=None):
+    """``open(path)`` as UTF-8 text; undecodable bytes raise DataError at ``path: line N``."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            # A line holding invalid bytes decodes differently when they are replaced and when they are dropped.
+            lines = Path(path).read_bytes().split(b"\n")
+            lineno = next(i for i, b in enumerate(lines, 1) if b.decode("utf-8", "replace") != b.decode("utf-8", "ignore"))
+            raise DataError(f"{path}: line {lineno}: invalid UTF-8") from None
 
 
 @dataclass(frozen=True)
@@ -107,7 +122,6 @@ class Vocabulary:
     token_to_id: dict[str, int]
     id_to_token: list[str]
     doc_frequency: dict[str, int]
-    max_size: int
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -140,7 +154,7 @@ def build_vocabulary(corpus: list[Document], max_size: int) -> Vocabulary:
         token_to_id[tok] = len(id_to_token)
         id_to_token.append(tok)
         frequencies[tok] = doc_freq[tok]
-    return Vocabulary(token_to_id, id_to_token, frequencies, max_size)
+    return Vocabulary(token_to_id, id_to_token, frequencies)
 
 
 def encode(tokens: list[str], vocab: Vocabulary, max_len: int) -> np.ndarray:
@@ -163,7 +177,7 @@ def load_vocabulary(path) -> Vocabulary:
     token_to_id: dict[str, int] = {}
     id_to_token: list[str] = []
     doc_frequency: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -178,12 +192,14 @@ def load_vocabulary(path) -> Vocabulary:
                 raise DataError(f"{path}: line {lineno}: non-integer id or frequency")
             if idx != len(id_to_token):
                 raise DataError(f"{path}: line {lineno}: ids must be contiguous and sorted")
+            if tok in token_to_id:
+                raise DataError(f"{path}: line {lineno}: token {tok!r} repeats id {token_to_id[tok]}")
             token_to_id[tok] = idx
             id_to_token.append(tok)
             doc_frequency[tok] = df
     if len(id_to_token) < 2 or id_to_token[0] != PAD_TOKEN or id_to_token[1] != OOV_TOKEN:
         raise DataError(f"{path}: vocabulary must start with {PAD_TOKEN} and {OOV_TOKEN}")
-    return Vocabulary(token_to_id, id_to_token, doc_frequency, max_size=len(id_to_token))
+    return Vocabulary(token_to_id, id_to_token, doc_frequency)
 
 
 def _parse_label_cell(cell: str, mode: str) -> list[str]:
@@ -199,25 +215,28 @@ def load_dataset(path, format: str, label_space: LabelSpace) -> list[Document]:
     docs: list[Document] = []
     if format in ("csv", "tsv"):
         delimiter = "," if format == "csv" else "\t"
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open_text(path, newline="") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["text", "label"]:
-                raise DataError(f"{path}: line 1: expected header 'text{delimiter}label'")
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise DataError(f"{path}: line {reader.line_num}: expected 2 columns, got {len(row)}")
-                text, cell = row
-                try:
-                    docs.append(
-                        make_document(len(docs), text, _parse_label_cell(cell, label_space.mode), label_space)
-                    )
-                except DataError as e:
-                    raise DataError(f"{path}: line {reader.line_num}: {e}") from None
+            try:
+                header = next(reader, None)
+                if header is None or [h.strip() for h in header] != ["text", "label"]:
+                    raise DataError(f"{path}: line 1: expected header 'text{delimiter}label'")
+                for row in reader:
+                    if not row:
+                        continue
+                    if len(row) != 2:
+                        raise DataError(f"{path}: line {reader.line_num}: expected 2 columns, got {len(row)}")
+                    text, cell = row
+                    try:
+                        docs.append(
+                            make_document(len(docs), text, _parse_label_cell(cell, label_space.mode), label_space)
+                        )
+                    except DataError as e:
+                        raise DataError(f"{path}: line {reader.line_num}: {e}") from None
+            except csv.Error as e:
+                raise DataError(f"{path}: line {reader.line_num}: {e}") from None
     else:
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -239,23 +258,12 @@ def load_dataset(path, format: str, label_space: LabelSpace) -> list[Document]:
     return docs
 
 
-def split(
-    corpus: list[Document], fractions: tuple[float, float, float], seed: int
-) -> tuple[list[Document], list[Document], list[Document]]:
-    """Seeded shuffle, then floor-sized validation/test with remainder to train."""
-    if len(corpus) < 3:
+def split(corpus: list[Document], val_fraction: float, seed: int) -> tuple[list[Document], list[Document]]:
+    """Seeded shuffle into (train, validation); ``max(1, floor(n * val_fraction))`` documents validate."""
+    if not 0.0 < val_fraction < 1.0:
+        raise DataError(f"val_fraction must be in (0, 1), got {val_fraction}")
+    if len(corpus) < 2:
         raise DataError(f"corpus too small to split: {len(corpus)} documents")
-    if any(f <= 0 for f in fractions):
-        raise DataError(f"fractions must be positive, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise DataError(f"fractions must sum to 1, got {fractions}")
-    order = np.random.default_rng(seed).permutation(len(corpus))
-    shuffled = [corpus[i] for i in order]
-    n_val = int(len(corpus) * fractions[1])
-    n_test = int(len(corpus) * fractions[2])
-    n_train = len(corpus) - n_val - n_test
-    return (
-        shuffled[:n_train],
-        shuffled[n_train : n_train + n_val],
-        shuffled[n_train + n_val :],
-    )
+    n_val = max(1, int(len(corpus) * val_fraction))
+    order = np.random.default_rng([seed, 2]).permutation(len(corpus))
+    return [corpus[i] for i in order[n_val:]], [corpus[i] for i in order[:n_val]]

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import OOV_ID, Document, LabelSpace, Vocabulary, encode
+from .corpus import OOV_ID, Document, LabelSpace, Vocabulary, encode, open_text
 from .errors import DataError
 from .metrics import label_matrix
 
@@ -237,7 +237,7 @@ def save_descriptors(descriptors: ClassDescriptorSet, path) -> None:
 
 
 def load_descriptors(path) -> ClassDescriptorSet:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().rstrip("\n")
         match = _HEADER_RE.match(header)
         if not match:

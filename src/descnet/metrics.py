@@ -74,11 +74,6 @@ class PRFResult:
     micro: tuple[float, float, float]
     weighted: tuple[float, float, float]
 
-    def aggregate(self, averaging: str) -> tuple[float, float, float]:
-        if averaging not in ("macro", "micro", "weighted"):
-            raise DataError(f"unknown averaging {averaging!r}")
-        return getattr(self, averaging)
-
 
 def precision_recall_f1(predicted, gold, n_classes: int) -> PRFResult:
     """Standard one-vs-rest P/R/F1 over label indicator matrices.

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -64,8 +65,8 @@ class ModelConfig:
         for name in ("dropout_rate", "recurrent_dropout_rate"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise DataError(f"{name} must be in [0, 1)")
-        if self.learning_rate <= 0:
-            raise DataError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise DataError(f"learning_rate must be positive and finite, got {self.learning_rate}")
 
     @property
     def resolved_descriptor_length(self) -> int:
@@ -362,56 +363,65 @@ def save_checkpoint(
             fh.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
 
 
-def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise ArtifactError("truncated checkpoint file")
-    return data
-
-
 def load_checkpoint(path) -> tuple[DualChannelModel, CheckpointMeta]:
     """Rebuild the model from a checkpoint; forward outputs match bit-exactly."""
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != CHECKPOINT_MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+
+        def take(n: int) -> bytes:
+            """The next ``n`` bytes; a length past the file size fails before anything is allocated."""
+            data = fh.read(n) if n <= size else b""
+            if len(data) != n:
+                raise ArtifactError(f"{path}: truncated checkpoint file")
+            return data
+
+        if take(4) != CHECKPOINT_MAGIC:
             raise ArtifactError(f"{path}: not a descnet checkpoint")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
+        (version,) = struct.unpack("<I", take(4))
         if version != CHECKPOINT_VERSION:
             raise ArtifactError(f"{path}: unsupported checkpoint version {version}")
-        (header_len,) = struct.unpack("<Q", _read_exact(fh, 8))
+        (header_len,) = struct.unpack("<Q", take(8))
         try:
-            header = json.loads(_read_exact(fh, header_len).decode("utf-8"))
+            header = json.loads(take(header_len).decode("utf-8"))
             config = ModelConfig(**header["config"])
-            model = DualChannelModel(config, header["vocab_size"], header["n_classes"], dtype=np.float32)
-        except (KeyError, TypeError, ValueError) as e:
+            vocab_size, n_classes = int(header["vocab_size"]), int(header["n_classes"])
+            meta = CheckpointMeta(
+                label_names=list(header["label_names"]),
+                vocab_sha256=header["vocab_sha256"],
+                descriptor_sha256=header["descriptor_sha256"],
+                epoch=int(header["epoch"]),
+                val_metric=float(header["val_metric"]),
+            )
+            if min(vocab_size, n_classes) < 1 or len(meta.label_names) != n_classes:
+                raise ValueError(f"vocab_size {vocab_size}, n_classes {n_classes}, {len(meta.label_names)} label names")
+            # The embedding table, one recurrent matrix and part of the head hold at
+            # least this many float32 values, so a header declaring more than the
+            # file holds is corrupt.
+            if 4 * (vocab_size * config.d_embed + config.gru_units * (config.gru_units + n_classes)) > size:
+                raise ValueError("declares more parameters than the file holds")
+            model = DualChannelModel(config, vocab_size, n_classes, dtype=np.float32)
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ArtifactError(f"{path}: bad checkpoint header ({e})") from None
 
         by_name = {p.name: p for p in model.parameters()}
-        (n_params,) = struct.unpack("<I", _read_exact(fh, 4))
+        (n_params,) = struct.unpack("<I", take(4))
         if n_params != len(by_name):
             raise ArtifactError(f"{path}: {n_params} parameter records, model expects {len(by_name)}")
         for _ in range(n_params):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
-            name = _read_exact(fh, name_len).decode("utf-8")
-            if name not in by_name:
-                raise ArtifactError(f"{path}: unknown parameter {name!r}")
-            (ndim,) = struct.unpack("<I", _read_exact(fh, 4))
-            shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim))
-            param = by_name[name]
+            (name_len,) = struct.unpack("<I", take(4))
+            name = take(name_len).decode("utf-8", errors="replace")
+            param = by_name.pop(name, None)
+            if param is None:
+                raise ArtifactError(f"{path}: unknown or repeated parameter {name!r}")
+            (ndim,) = struct.unpack("<I", take(4))
+            shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
             if tuple(shape) != param.data.shape:
                 raise ArtifactError(
                     f"{path}: parameter {name!r} has shape {tuple(shape)}, model expects {param.data.shape}"
                 )
             count = int(np.prod(shape)) if shape else 1
-            values = np.frombuffer(_read_exact(fh, 4 * count), dtype="<f4")
+            values = np.frombuffer(take(4 * count), dtype="<f4")
             param.data[...] = values.reshape(shape).astype(np.float32)
         if fh.read(1):
             raise ArtifactError(f"{path}: trailing bytes after parameter records")
-
-    meta = CheckpointMeta(
-        label_names=list(header["label_names"]),
-        vocab_sha256=header["vocab_sha256"],
-        descriptor_sha256=header["descriptor_sha256"],
-        epoch=int(header["epoch"]),
-        val_metric=float(header["val_metric"]),
-    )
     return model, meta

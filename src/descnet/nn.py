@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import numerics as nm
+from .corpus import open_text
 from .errors import DataError
 from .numerics import Parameter, Tensor
 
@@ -38,13 +39,11 @@ class EmbeddingLayer:
         rng: np.random.Generator,
         dtype=np.float32,
         padding_id: int = 0,
-        trainable: bool = True,
-        init_scale: float = 0.05,
         name: str = "embedding",
     ):
-        table = rng.uniform(-init_scale, init_scale, size=(vocab_size, dim)).astype(dtype)
+        table = rng.uniform(-0.05, 0.05, size=(vocab_size, dim)).astype(dtype)
         table[padding_id] = 0.0
-        self.table = Parameter(table, name=f"{name}.table", trainable=trainable)
+        self.table = Parameter(table, name=f"{name}.table")
         self.padding_id = padding_id
         self.dim = dim
 
@@ -61,10 +60,11 @@ def load_pretrained_embeddings(layer: EmbeddingLayer, path, token_to_id: dict[st
     A first line of two integers, the ``count dim`` header of word2vec/fastText
     ``.vec`` files, is skipped. Tokens absent from the file keep their random
     initialization. Returns the number of rows covered. The file dimension
-    must match the layer's.
+    must match the layer's, and every loaded value must be finite in the
+    table's precision.
     """
     covered = 0
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if lineno == 1 and len(parts) == 2 and all(p.isdecimal() for p in parts):
@@ -82,9 +82,12 @@ def load_pretrained_embeddings(layer: EmbeddingLayer, path, token_to_id: dict[st
             if idx is None or idx == layer.padding_id:
                 continue
             try:
-                layer.table.data[idx] = np.array([float(v) for v in values], dtype=layer.table.data.dtype)
+                vector = np.array([float(v) for v in values])
             except ValueError:
                 raise DataError(f"{path}: line {lineno}: non-numeric embedding value")
+            if not np.all(np.abs(vector) <= np.finfo(layer.table.data.dtype).max):
+                raise DataError(f"{path}: line {lineno}: embedding value is not finite in {layer.table.data.dtype}")
+            layer.table.data[idx] = vector
             covered += 1
     return covered
 
@@ -138,14 +141,6 @@ class GRUCell:
         return nm.add(nm.mul(nm.sub(1.0, z), h_prev), nm.mul(z, h_tilde))
 
 
-def gru_cell_step(cell: GRUCell, x_t: Tensor, h_prev: Tensor, recurrent_mask: Tensor | None = None) -> Tensor:
-    """One recurrence step from raw input vectors."""
-    xz = nm.add(nm.matmul(x_t, cell.W_z), cell.b_z)
-    xr = nm.add(nm.matmul(x_t, cell.W_r), cell.b_r)
-    xh = nm.add(nm.matmul(x_t, cell.W_h), cell.b_h)
-    return cell.step(xz, xr, xh, h_prev, recurrent_mask)
-
-
 def _directional_pass(
     cell: GRUCell,
     embedded: Tensor,
@@ -161,11 +156,10 @@ def _directional_pass(
     for t in order:
         m_t = step_mask[:, t : t + 1]
         h_new = cell.step(nm.select(xz, 1, t), nm.select(xr, 1, t), nm.select(xh, 1, t), h, recurrent_mask)
-        out_t = nm.mul(h_new, m_t)
-        # Masked update: padded positions emit zeros and leave the state alone,
-        # so each direction effectively sees only the valid prefix.
-        h = nm.add(out_t, nm.mul(h, 1.0 - m_t))
-        outputs[t] = out_t
+        # Padded steps emit zeros and reset the state. Valid steps are a prefix
+        # of each row, so the forward direction never reads a reset state at a
+        # valid step, and the backward direction enters the prefix from zeros.
+        h = outputs[t] = nm.mul(h_new, m_t)
     return outputs  # type: ignore[return-value]
 
 
@@ -245,9 +239,9 @@ def attention_forward(layer: AttentionLayer, hidden: Tensor, lengths: np.ndarray
 
 
 class DenseLayer:
-    """Affine map with optional softmax/sigmoid head activation."""
+    """Affine map with a softmax or sigmoid head activation."""
 
-    ACTIVATIONS = ("softmax", "sigmoid", "none")
+    ACTIVATIONS = ("softmax", "sigmoid")
 
     def __init__(self, input_dim: int, output_dim: int, activation: str, rng: np.random.Generator, dtype=np.float32, name: str = "dense"):
         if activation not in self.ACTIVATIONS:
@@ -265,9 +259,7 @@ class DenseLayer:
         logits = nm.add(nm.matmul(x, self.weights), self.bias)
         if self.activation == "softmax":
             return nm.softmax(logits, axis=-1)
-        if self.activation == "sigmoid":
-            return nm.sigmoid(logits)
-        return logits
+        return nm.sigmoid(logits)
 
 
 def dropout(

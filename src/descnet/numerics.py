@@ -37,7 +37,6 @@ __all__ = [
     "reshape",
     "embedding_gather",
     "max_over_axis",
-    "mean_over_axis",
     "sum_over_axis",
     "backward",
     "grad_check",
@@ -90,12 +89,11 @@ class Tensor:
 class Parameter(Tensor):
     """Trainable tensor with a gradient slot and Adam moment accumulators."""
 
-    __slots__ = ("name", "trainable", "m", "v")
+    __slots__ = ("name", "m", "v")
 
-    def __init__(self, data, name: str = "", trainable: bool = True, dtype=None):
-        super().__init__(data, dtype=dtype, needs_grad=trainable)
+    def __init__(self, data, name: str = "", dtype=None):
+        super().__init__(data, dtype=dtype, needs_grad=True)
         self.name = name
-        self.trainable = trainable
         self.m = np.zeros_like(self.data)
         self.v = np.zeros_like(self.data)
 
@@ -407,19 +405,6 @@ def sum_over_axis(a: Tensor, axis: int | None) -> Tensor:
     return _emit(data, (a,), backward_fn)
 
 
-def mean_over_axis(a: Tensor, axis: int | None) -> Tensor:
-    n = a.data.size if axis is None else a.shape[axis]
-    data = a.data.mean(axis=axis)
-
-    def backward_fn(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g / n, a.shape))
-        else:
-            _accum(a, np.broadcast_to(np.expand_dims(g / n, axis), a.shape))
-
-    return _emit(data, (a,), backward_fn)
-
-
 def backward(loss: Tensor, tape: Tape) -> None:
     """Populate gradients of everything ``loss`` depends on via ``tape``.
 
@@ -455,8 +440,6 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Parameter], epsilon: fl
 
     worst = 0.0
     for p in params:
-        if not p.trainable:
-            continue
         analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
         analytic = analytic.reshape(-1)
         flat = p.data.reshape(-1)
@@ -485,11 +468,11 @@ def adam_step(
     epsilon: float = 1e-8,
     step_count: int = 1,
 ) -> None:
-    """Bias-corrected Adam update over all trainable parameters in place."""
+    """Bias-corrected Adam update, in place, of every parameter that has a gradient."""
     if step_count < 1:
         raise ValueError("adam_step: step_count must be >= 1")
     for p in params:
-        if not p.trainable or p.grad is None:
+        if p.grad is None:
             continue
         g = p.grad
         if not np.all(np.isfinite(g)):
@@ -505,7 +488,7 @@ def adam_step(
 
 def sgd_step(params: Sequence[Parameter], learning_rate: float) -> None:
     for p in params:
-        if not p.trainable or p.grad is None:
+        if p.grad is None:
             continue
         if not np.all(np.isfinite(p.grad)):
             raise NonFiniteError(f"sgd_step: non-finite gradient for parameter '{p.name}'")

@@ -1,4 +1,7 @@
-from dataclasses import fields
+import json
+import shutil
+import struct
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from descnet import metrics
 from descnet.cli import RunConfig, build_parser, build_run_config, main, parse_config_file
 from descnet.corpus import load_vocabulary
 from descnet.descriptors import load_descriptors
-from descnet.model import ModelConfig, load_checkpoint, predict
+from descnet.model import ModelConfig, load_checkpoint, predict, save_checkpoint
 from descnet.synth import marker_corpus, write_csv
 
 FAST_FLAGS = [
@@ -449,3 +452,110 @@ class TestEmbeddingFile:
         code = main(train_args(root, names, tmp_path / "run", extra=["--embedding-path", str(vectors)]))
         assert code == 2
         assert "expected 8" in capsys.readouterr().err
+
+
+def unhashed_bundle(trained, directory, mode="multi_class"):
+    """The trained bundle saved again without content hashes, the way a library caller saves it."""
+    _, names, out = trained
+    model, _ = load_checkpoint(out / "checkpoint.bin")
+    model.config = replace(model.config, mode=mode)
+    save_checkpoint(model, directory / "checkpoint.bin", names)
+    for name in ("vocab.tsv", "descriptors.tsv"):
+        shutil.copy(out / name, directory / name)
+    return directory / "checkpoint.bin"
+
+
+class TestBundleMismatch:
+    def test_header_vocab_size_zero_exit_4(self, trained, tmp_path, capsys):
+        _, _, out = trained
+        data = (out / "checkpoint.bin").read_bytes()
+        (header_len,) = struct.unpack("<Q", data[8:16])
+        header = json.loads(data[16 : 16 + header_len])
+        header["vocab_size"] = 0
+        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+        bad = tmp_path / "checkpoint.bin"
+        bad.write_bytes(data[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes + data[16 + header_len :])
+        code = main([
+            "predict", "--checkpoint-path", str(bad), "--vocab-path", str(out / "vocab.tsv"),
+            "--descriptor-path", str(out / "descriptors.tsv"), "--text", "markera",
+        ])
+        assert code == 4
+        assert f"{bad}: bad checkpoint header" in capsys.readouterr().err
+
+    def test_vocabulary_length_differs_without_hashes_exit_4(self, trained, tmp_path, capsys):
+        checkpoint = unhashed_bundle(trained, tmp_path)
+        vocab = tmp_path / "vocab.tsv"
+        n_tokens = len(load_vocabulary(vocab))
+        with open(vocab, "a", encoding="utf-8") as fh:
+            fh.write(f"extra\t{n_tokens}\t1\n")
+        code = main(["predict", "--checkpoint-path", str(checkpoint), "--text", "markera extra"])
+        assert code == 4
+        assert f"{vocab}: {n_tokens + 1} tokens, but the checkpoint's embedding has {n_tokens} rows" in capsys.readouterr().err
+
+
+class TestInvalidUtf8:
+    @pytest.mark.parametrize(
+        "which", ["dataset", "config", "vocabulary", "descriptors", "embeddings", "threshold", "input"]
+    )
+    def test_exit_2_naming_file_and_line(self, which, trained, tmp_path, capsys):
+        root, names, out = trained
+        checkpoint = unhashed_bundle(trained, tmp_path, mode="multi_label" if which == "threshold" else "multi_class")
+        valid = {
+            "dataset": (root / "train.csv").read_bytes(),
+            "config": b"seed = 7\nd_embed = 8\n",
+            "vocabulary": (out / "vocab.tsv").read_bytes(),
+            "descriptors": (out / "descriptors.tsv").read_bytes(),
+            "embeddings": b"markera " + b"0.5 " * 8 + b"\nnoise001 " + b"0.25 " * 8 + b"\n",
+            "threshold": b"0.5\n",
+            "input": b"markera noise001\nmarkerb\n",
+        }[which]
+        bad = tmp_path / f"bad_{which}.txt"
+        bad.write_bytes(valid.rstrip(b"\n") + b"\xff\n")
+        line = bad.read_bytes().count(b"\n")
+        train = ["train", "--labels", ",".join(names), "--auto-extract", "true", "--out-dir", str(tmp_path / "run"), *FAST_FLAGS]
+        train_path = ["--train-path", str(root / "train.csv")]
+        bundle = ["predict", "--checkpoint-path", str(checkpoint), "--text", "markera"]
+        args = {
+            "dataset": [*train, "--train-path", str(bad)],
+            "config": [*train, *train_path, "--config", str(bad)],
+            "vocabulary": [*bundle, "--vocab-path", str(bad)],
+            "descriptors": [*bundle, "--descriptor-path", str(bad)],
+            "embeddings": [*train, *train_path, "--embedding-path", str(bad)],
+            "threshold": [*bundle, "--threshold-path", str(bad)],
+            "input": ["predict", "--checkpoint-path", str(checkpoint), "--input-path", str(bad)],
+        }[which]
+        assert main(args) == 2
+        assert f"{bad}: line {line}: invalid UTF-8" in capsys.readouterr().err
+
+
+class TestNumericOptions:
+    """Bad numeric options are rejected when the config is read, before any file is opened."""
+
+    def run_train(self, tmp_path, *flags):
+        return main([
+            "train", "--train-path", str(tmp_path / "missing.csv"), "--labels", "a,b",
+            "--auto-extract", "true", "--out-dir", str(tmp_path / "run"), *flags,
+        ])
+
+    def test_val_fraction_nan_exit_2(self, tmp_path, capsys):
+        assert self.run_train(tmp_path, "--val-fraction", "nan") == 2
+        assert "val_fraction must be in (0, 1), got nan" in capsys.readouterr().err
+
+    def test_val_fraction_outside_open_unit_interval_exit_2(self, tmp_path, capsys):
+        for value in ("0", "1", "1.5", "-0.2", "inf"):
+            assert self.run_train(tmp_path, "--val-fraction", value) == 2
+            assert "val_fraction must be in (0, 1)" in capsys.readouterr().err
+
+    def test_threshold_outside_unit_interval_exit_2(self, tmp_path, capsys):
+        for value in ("nan", "inf", "1.5", "-0.5"):
+            assert self.run_train(tmp_path, "--threshold", value) == 2
+            assert "threshold must be in [0, 1]" in capsys.readouterr().err
+
+    def test_learning_rate_not_finite_exit_2(self, tmp_path, capsys):
+        for value in ("nan", "inf"):
+            assert self.run_train(tmp_path, "--learning-rate", value) == 2
+            assert f"learning_rate must be positive and finite, got {value}" in capsys.readouterr().err
+        config = tmp_path / "run.cfg"
+        config.write_text("learning_rate = nan\n")
+        assert self.run_train(tmp_path, "--config", str(config)) == 2
+        assert "learning_rate" in capsys.readouterr().err

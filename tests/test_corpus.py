@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,12 @@ class TestVocabulary:
         with pytest.raises(DataError, match="line 3"):
             load_vocabulary(path)
 
+    def test_load_rejects_repeated_token(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("<pad>\t0\t0\n<oov>\t1\t0\nrock\t2\t5\nyou\t3\t4\nrock\t4\t1\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: line 5: token 'rock' repeats id 2")):
+            load_vocabulary(path)
+
 
 class TestEncode:
     @pytest.fixture
@@ -223,42 +231,46 @@ class TestLoadDataset:
 
 
 class TestSplit:
+    """The holdout split ``descnet train`` makes when no validation file is given."""
+
     def make_corpus(self, n):
         return docs_from_texts([f"doc {i}" for i in range(n)])
 
     def test_floor_sizes_remainder_to_train(self):
-        parts = split(self.make_corpus(10), (0.8, 0.1, 0.1), seed=7)
-        assert tuple(len(p) for p in parts) == (8, 1, 1)
+        assert [len(p) for p in split(self.make_corpus(10), 0.15, seed=7)] == [9, 1]
+        assert [len(p) for p in split(self.make_corpus(10), 0.25, seed=7)] == [8, 2]
+        # at least one validation document, however small the fraction
+        assert [len(p) for p in split(self.make_corpus(10), 0.01, seed=7)] == [9, 1]
 
     def test_same_seed_identical(self):
         corpus = self.make_corpus(20)
-        a = split(corpus, (0.6, 0.2, 0.2), seed=3)
-        b = split(corpus, (0.6, 0.2, 0.2), seed=3)
+        a = split(corpus, 0.2, seed=3)
+        b = split(corpus, 0.2, seed=3)
         assert [[d.id for d in part] for part in a] == [[d.id for d in part] for part in b]
 
     def test_different_seeds_differ_sizes_identical(self):
         corpus = self.make_corpus(100)
-        a = split(corpus, (0.8, 0.1, 0.1), seed=1)
-        b = split(corpus, (0.8, 0.1, 0.1), seed=2)
+        a = split(corpus, 0.1, seed=1)
+        b = split(corpus, 0.1, seed=2)
         assert [d.id for d in a[0]] != [d.id for d in b[0]]
         assert [len(p) for p in a] == [len(p) for p in b]
 
     def test_partition_is_disjoint_and_complete(self):
         corpus = self.make_corpus(17)
-        train, val, test = split(corpus, (0.5, 0.25, 0.25), seed=11)
-        ids = [d.id for d in train + val + test]
+        train, val = split(corpus, 0.25, seed=11)
+        ids = [d.id for d in train + val]
         assert sorted(ids) == list(range(17))
         assert len(set(ids)) == 17
 
     def test_too_small_corpus(self):
         with pytest.raises(DataError, match="too small"):
-            split(self.make_corpus(2), (0.8, 0.1, 0.1), seed=0)
+            split(self.make_corpus(1), 0.5, seed=0)
+        assert [len(p) for p in split(self.make_corpus(2), 0.9, seed=0)] == [1, 1]
 
     def test_bad_fractions(self):
-        with pytest.raises(DataError):
-            split(self.make_corpus(5), (0.8, 0.1, 0.2), seed=0)
-        with pytest.raises(DataError):
-            split(self.make_corpus(5), (1.0, -0.1, 0.1), seed=0)
+        for fraction in (0.0, 1.0, -0.1, 1.5, float("nan"), float("inf")):
+            with pytest.raises(DataError, match="val_fraction"):
+                split(self.make_corpus(5), fraction, seed=0)
 
 
 class TestLabelSpace:

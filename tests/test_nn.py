@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,11 @@ from descnet.numerics import Parameter, Tape, Tensor, adam_step, backward, grad_
 
 def total(t):
     return nm.sum_over_axis(t, axis=None)
+
+
+def gru_step(cell, x_t, h_prev):
+    """One recurrence step from raw input vectors, as ``bigru_forward`` runs it."""
+    return cell.step(*cell.input_projections(x_t), h_prev)
 
 
 class TestGRUCell:
@@ -24,12 +31,12 @@ class TestGRUCell:
         cell = self.zero_cell()
         h_prev = Tensor(np.array([[0.2, -0.4, 1.0, 0.0]]))
         x = Tensor(np.ones((1, 3)))
-        h_t = nn.gru_cell_step(cell, x, h_prev)
+        h_t = gru_step(cell, x, h_prev)
         np.testing.assert_allclose(h_t.data, 0.5 * h_prev.data)
 
     def test_zero_input_zero_state_fixed_point(self):
         cell = self.zero_cell()
-        h_t = nn.gru_cell_step(cell, Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+        h_t = gru_step(cell, Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
         np.testing.assert_array_equal(h_t.data, 0.0)
 
     def test_gradients_match_finite_differences(self):
@@ -39,7 +46,7 @@ class TestGRUCell:
         h_prev = Tensor(rng.normal(size=(2, 4)) * 0.3)
 
         def f():
-            h_t = nn.gru_cell_step(cell, x, h_prev)
+            h_t = gru_step(cell, x, h_prev)
             return total(nm.mul(h_t, h_t))
 
         assert grad_check(f, cell.parameters()) < 1e-6
@@ -50,7 +57,7 @@ class TestGRUCell:
         h = Tensor(np.zeros((4, 5)))
         for t in range(20):
             x = Tensor(rng.normal(size=(4, 3)) * 3.0)
-            h = nn.gru_cell_step(cell, x, h)
+            h = gru_step(cell, x, h)
             assert np.all(np.abs(h.data) < 1.0)
 
 
@@ -73,8 +80,8 @@ class TestBiGRU:
         emb = Tensor(rng.normal(size=(1, 5, 3)))
         out = nn.bigru_forward(fwd, bwd, emb, np.array([1]))
         x0 = nm.select(emb, 1, 0)
-        h0 = nn.gru_cell_step(fwd, x0, Tensor(np.zeros((1, 4))))
-        g0 = nn.gru_cell_step(bwd, x0, Tensor(np.zeros((1, 4))))
+        h0 = gru_step(fwd, x0, Tensor(np.zeros((1, 4))))
+        g0 = gru_step(bwd, x0, Tensor(np.zeros((1, 4))))
         np.testing.assert_allclose(out.data[0, 0], np.concatenate([h0.data[0], g0.data[0]]))
         np.testing.assert_array_equal(out.data[0, 1:], 0.0)
 
@@ -273,16 +280,6 @@ class TestEmbedding:
         np.testing.assert_array_equal(layer.table.data[0], 0.0)
         assert np.any(layer.table.data[1] != 0.0)
 
-    def test_frozen_table_untrainable(self):
-        rng = np.random.default_rng(15)
-        layer = nn.EmbeddingLayer(5, 3, rng, np.float64, trainable=False)
-        before = layer.table.data.copy()
-        with Tape() as tape:
-            loss = total(layer.forward(np.array([[1, 2]])))
-        backward(loss, tape)
-        adam_step(layer.parameters(), 0.1, step_count=1)
-        np.testing.assert_array_equal(layer.table.data, before)
-
 
 class TestPretrainedLoader:
     def test_covered_tokens_overwritten_others_random(self, tmp_path):
@@ -327,6 +324,17 @@ class TestPretrainedLoader:
         path.write_text("1 300\napple 1.0 2.0 3.0\n")
         with pytest.raises(DataError, match="line 1: header declares 300-dimensional"):
             nn.load_pretrained_embeddings(layer, path, {"apple": 2})
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])
+    def test_non_finite_value_rejected_at_its_line(self, tmp_path, value):
+        # 1e39 is finite in float64 but overflows the float32 table.
+        layer = nn.EmbeddingLayer(5, 3, np.random.default_rng(22), np.float32)
+        before = layer.table.data.copy()
+        path = tmp_path / "vectors.txt"
+        path.write_text(f"apple 1.0 2.0 3.0\nbanana 4.0 {value} 6.0\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: line 2: embedding value is not finite")):
+            nn.load_pretrained_embeddings(layer, path, {"apple": 2, "banana": 3})
+        np.testing.assert_array_equal(layer.table.data[3], before[3])
 
     def test_padding_row_never_overwritten(self, tmp_path):
         rng = np.random.default_rng(18)
