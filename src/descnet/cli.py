@@ -58,7 +58,6 @@ class RunConfig(ModelConfig):
     out_dir: str = "out"
     threshold: float = -1.0  # -1 means: not set
     val_fraction: float = 0.1
-    auto_extract: bool = False
     drop_overlength: bool = False
     min_doc_frequency: int = 2
 
@@ -181,12 +180,10 @@ def cmd_train(config: RunConfig) -> int:
     vocab = build_vocabulary(train_docs, config.vocabulary_max)
     if config.descriptor_path:
         descriptors = load_descriptors(config.descriptor_path)
-    elif config.auto_extract:
+    else:
         descriptors = extract_descriptors(
             train_docs, vocab, labels, config.descriptor_test, config.descriptor_dimension, config.min_doc_frequency
         )
-    else:
-        raise DataError("no descriptor file: pass descriptor_path or set auto_extract = true")
 
     train_examples = encode_examples(train_docs, vocab, descriptors, labels, model_config)
     val_examples = encode_examples(val_docs, vocab, descriptors, labels, model_config)

@@ -24,6 +24,8 @@ from .numerics import NonFiniteError, Parameter, Tape, Tensor
 
 CHECKPOINT_MAGIC = b"DCNC"
 CHECKPOINT_VERSION = 1
+# Settings that older checkpoint headers still carry; they no longer select anything.
+LEGACY_CONFIG_KEYS = ("optimizer", "share_embedding")
 
 
 @dataclass
@@ -45,16 +47,12 @@ class ModelConfig:
     max_epochs: int = 20
     patience: int = 3
     seed: int = 0
-    share_embedding: bool = True
-    optimizer: str = "adam"
 
     def __post_init__(self):
         if self.mode not in ("multi_class", "multi_label"):
             raise DataError(f"unknown mode {self.mode!r}")
         if self.descriptor_test not in TESTS:
             raise DataError(f"unknown descriptor test {self.descriptor_test!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise DataError(f"unknown optimizer {self.optimizer!r}")
         for name in ("d_embed", "gru_units", "descriptor_dimension", "text_length", "batch_size", "max_epochs"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1")
@@ -97,11 +95,8 @@ class DualChannelModel:
         self.history: list[EpochStats] = []
         rng = np.random.default_rng([config.seed, 0])
 
+        # one table feeds both channels
         self.embedding = nn.EmbeddingLayer(vocab_size, config.d_embed, rng, dtype, name="embedding")
-        if config.share_embedding:
-            self.desc_embedding = self.embedding
-        else:
-            self.desc_embedding = nn.EmbeddingLayer(vocab_size, config.d_embed, rng, dtype, name="desc_embedding")
         g = config.gru_units
         self.text_fwd = nn.GRUCell(config.d_embed, g, rng, dtype, name="text_fwd")
         self.text_bwd = nn.GRUCell(config.d_embed, g, rng, dtype, name="text_bwd")
@@ -113,10 +108,7 @@ class DualChannelModel:
         self.head = nn.DenseLayer(6 * g, n_classes, head_activation, rng, dtype, name="head")
 
     def parameters(self) -> list[Parameter]:
-        layers = [self.embedding]
-        if self.desc_embedding is not self.embedding:
-            layers.append(self.desc_embedding)
-        layers += [self.text_fwd, self.text_bwd, self.desc_fwd, self.desc_bwd, self.attention, self.head]
+        layers = [self.embedding, self.text_fwd, self.text_bwd, self.desc_fwd, self.desc_bwd, self.attention, self.head]
         params: list[Parameter] = []
         for layer in layers:
             params.extend(layer.parameters())
@@ -155,7 +147,7 @@ class DualChannelModel:
         pooled_max = nn.max_pool_time(hidden_text, text_lengths)
         pooled_avg = nn.avg_pool_time(hidden_text, text_lengths)
 
-        emb_desc = self._embed(self.desc_embedding, desc_ids, desc_lengths, training, rng)
+        emb_desc = self._embed(self.embedding, desc_ids, desc_lengths, training, rng)
         hidden_desc = nn.bigru_forward(self.desc_fwd, self.desc_bwd, emb_desc, desc_lengths, masks[2], masks[3])
         context, _ = nn.attention_forward(self.attention, hidden_desc, desc_lengths)
 
@@ -237,6 +229,9 @@ def train(
     text, desc, targets = batch_arrays(train_examples)
     n = len(train_examples)
     params = model.parameters()
+    # Adam's first and second moments, allocated here: filled inside the first step, they land among
+    # that step's temporaries, and train-news steps measured 2-5% slower.
+    moments = {p.name: (np.zeros_like(p.data), np.zeros_like(p.data)) for p in params}
 
     best_metric = -np.inf
     best_state = model.snapshot()
@@ -260,10 +255,7 @@ def train(
                 )
             nm.backward(loss, tape)
             step += 1
-            if cfg.optimizer == "adam":
-                nm.adam_step(params, cfg.learning_rate, step_count=step)
-            else:
-                nm.sgd_step(params, cfg.learning_rate)
+            nm.adam_step(params, moments, cfg.learning_rate, step_count=step)
             batch_losses.append(loss_value)
 
         val_metric = _validation_metric(model, val_examples)
@@ -383,7 +375,7 @@ def load_checkpoint(path) -> tuple[DualChannelModel, CheckpointMeta]:
         (header_len,) = struct.unpack("<Q", take(8))
         try:
             header = json.loads(take(header_len).decode("utf-8"))
-            config = ModelConfig(**header["config"])
+            config = ModelConfig(**{k: v for k, v in dict(header["config"]).items() if k not in LEGACY_CONFIG_KEYS})
             vocab_size, n_classes = int(header["vocab_size"]), int(header["n_classes"])
             meta = CheckpointMeta(
                 label_names=list(header["label_names"]),
@@ -421,6 +413,8 @@ def load_checkpoint(path) -> tuple[DualChannelModel, CheckpointMeta]:
                 )
             count = int(np.prod(shape)) if shape else 1
             values = np.frombuffer(take(4 * count), dtype="<f4")
+            if not np.isfinite(values).all():
+                raise ArtifactError(f"{path}: parameter {name!r} holds a non-finite value")
             param.data[...] = values.reshape(shape).astype(np.float32)
         if fh.read(1):
             raise ArtifactError(f"{path}: trailing bytes after parameter records")

@@ -41,7 +41,6 @@ __all__ = [
     "backward",
     "grad_check",
     "adam_step",
-    "sgd_step",
 ]
 
 
@@ -87,15 +86,13 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable tensor with a gradient slot and Adam moment accumulators."""
+    """Named trainable tensor with a gradient slot; optimizer state lives with the caller (see ``adam_step``)."""
 
-    __slots__ = ("name", "m", "v")
+    __slots__ = ("name",)
 
     def __init__(self, data, name: str = "", dtype=None):
         super().__init__(data, dtype=dtype, needs_grad=True)
         self.name = name
-        self.m = np.zeros_like(self.data)
-        self.v = np.zeros_like(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -462,13 +459,17 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Parameter], epsilon: fl
 
 def adam_step(
     params: Sequence[Parameter],
+    moments: dict[str, tuple[np.ndarray, np.ndarray]],
     learning_rate: float = 1e-3,
     beta1: float = 0.9,
     beta2: float = 0.999,
     epsilon: float = 1e-8,
     step_count: int = 1,
 ) -> None:
-    """Bias-corrected Adam update, in place, of every parameter that has a gradient."""
+    """Bias-corrected Adam update, in place, of every parameter that has a gradient.
+
+    ``moments`` is the caller's map from parameter name to its (first, second) moment arrays, zeros before step 1.
+    """
     if step_count < 1:
         raise ValueError("adam_step: step_count must be >= 1")
     for p in params:
@@ -477,19 +478,11 @@ def adam_step(
         g = p.grad
         if not np.all(np.isfinite(g)):
             raise NonFiniteError(f"adam_step: non-finite gradient for parameter '{p.name}'")
-        p.m *= beta1
-        p.m += (1.0 - beta1) * g
-        p.v *= beta2
-        p.v += (1.0 - beta2) * g * g
-        m_hat = p.m / (1.0 - beta1**step_count)
-        v_hat = p.v / (1.0 - beta2**step_count)
+        m, v = moments[p.name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**step_count)
+        v_hat = v / (1.0 - beta2**step_count)
         p.data -= learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
-
-
-def sgd_step(params: Sequence[Parameter], learning_rate: float) -> None:
-    for p in params:
-        if p.grad is None:
-            continue
-        if not np.all(np.isfinite(p.grad)):
-            raise NonFiniteError(f"sgd_step: non-finite gradient for parameter '{p.name}'")
-        p.data -= learning_rate * p.grad

@@ -114,7 +114,7 @@ def padded_forward(model: DualChannelModel, text_ids, desc_ids, training: bool =
     pooled_max = nn.max_pool_time(hidden_text, text_lengths)
     pooled_avg = nn.avg_pool_time(hidden_text, text_lengths)
 
-    emb_desc = model.desc_embedding.forward(desc_ids)
+    emb_desc = model.embedding.forward(desc_ids)
     emb_desc = nn.dropout(emb_desc, cfg.dropout_rate, training, rng)
     hidden_desc = nn.bigru_forward(model.desc_fwd, model.desc_bwd, emb_desc, desc_lengths, masks[2], masks[3])
     context, _ = nn.attention_forward(model.attention, hidden_desc, desc_lengths)

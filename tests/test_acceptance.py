@@ -282,7 +282,7 @@ class TestDeterminism:
         write_csv(rows, tmp_path / "train.csv")
         args = lambda out: [
             "train", "--train-path", str(tmp_path / "train.csv"), "--labels", ",".join(names),
-            "--auto-extract", "true", "--out-dir", str(out),
+            "--out-dir", str(out),
             "--d-embed", "8", "--gru-units", "4", "--text-length", "10",
             "--descriptor-dimension", "2", "--max-epochs", "3", "--seed", "11",
             "--dropout-rate", "0.4", "--recurrent-dropout-rate", "0.4",

@@ -8,8 +8,8 @@ import pytest
 
 from descnet import metrics
 from descnet.cli import RunConfig, build_parser, build_run_config, main, parse_config_file
-from descnet.corpus import load_vocabulary
-from descnet.descriptors import load_descriptors
+from descnet.corpus import LabelSpace, build_vocabulary, load_dataset, load_vocabulary, split
+from descnet.descriptors import extract_descriptors, load_descriptors, save_descriptors
 from descnet.model import ModelConfig, load_checkpoint, predict, save_checkpoint
 from descnet.synth import marker_corpus, write_csv
 
@@ -42,7 +42,7 @@ def corpus_dir(tmp_path_factory):
 def train_args(root, names, out, extra=()):
     return [
         "train", "--train-path", str(root / "train.csv"), "--labels", ",".join(names),
-        "--auto-extract", "true", "--out-dir", str(out), *FAST_FLAGS, *extra,
+        "--out-dir", str(out), *FAST_FLAGS, *extra,
     ]
 
 
@@ -95,14 +95,37 @@ class TestTrain:
         assert (out_a / "history.csv").read_bytes() == (out_b / "history.csv").read_bytes()
         assert (out_a / "checkpoint.bin").read_bytes() == (out_b / "checkpoint.bin").read_bytes()
 
-    def test_no_descriptor_source_exit_2(self, corpus_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("holdout", ["val_path", "split"])
+    def test_without_descriptor_path_extracts_from_training_split(self, corpus_dir, tmp_path, holdout):
         root, names = corpus_dir
-        code = main([
-            "train", "--train-path", str(root / "train.csv"), "--labels", ",".join(names),
-            "--out-dir", str(tmp_path), *FAST_FLAGS,
-        ])
-        assert code == 2
-        assert "descriptor" in capsys.readouterr().err
+        labels = LabelSpace(tuple(names), "multi_class")
+        docs = load_dataset(root / "train.csv", "csv", labels)
+        if holdout == "val_path":
+            rows, _ = marker_corpus(24, n_classes=3, n_noise=20, seed=5)
+            write_csv(rows, tmp_path / "val.csv")
+            extra = ["--val-path", str(tmp_path / "val.csv")]
+            train_docs, val_docs = docs, load_dataset(tmp_path / "val.csv", "csv", labels)
+        else:
+            extra = []
+            train_docs, val_docs = split(docs, RunConfig.val_fraction, 7)  # 7: the seed in FAST_FLAGS
+        out = tmp_path / "out"
+        assert main(train_args(root, names, out, extra=[*extra, "--max-epochs", "1"])) == 0
+
+        vocab = build_vocabulary(train_docs, RunConfig.vocabulary_max)
+        expected = extract_descriptors(train_docs, vocab, labels, "chi2", 1, RunConfig.min_doc_frequency)
+        save_descriptors(expected, tmp_path / "expected.tsv")
+        assert (out / "descriptors.tsv").read_bytes() == (tmp_path / "expected.tsv").read_bytes()
+        # the check can tell: descriptors that had seen the validation documents score differently
+        leaked = extract_descriptors(train_docs + val_docs, vocab, labels, "chi2", 1, RunConfig.min_doc_frequency)
+        assert leaked.entries != expected.entries
+
+    @pytest.mark.parametrize("line", ["optimizer = adam", "share_embedding = true", "auto_extract = true"])
+    def test_removed_config_keys_exit_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"seed = 7\n{line}\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        key = line.split(" = ")[0]
+        assert f"{cfg}: line 2: unknown config key {key!r}" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, corpus_dir, tmp_path):
         root, names = corpus_dir
@@ -111,7 +134,6 @@ class TestTrain:
             "\n".join([
                 f"train_path = {root / 'train.csv'}",
                 f"labels = {','.join(names)}",
-                "auto_extract = true",
                 "d_embed = 8",
                 "gru_units = 4",
                 "dropout_rate = 0.0",
@@ -169,7 +191,7 @@ class TestTrain:
         out = tmp_path / "out"
         code = main([
             "train", "--train-path", str(tmp_path / "train.csv"), "--labels", "a,b",
-            "--auto-extract", "true", "--drop-overlength", "true", "--out-dir", str(out),
+            "--drop-overlength", "true", "--out-dir", str(out),
             "--val-fraction", "0.01", *FAST_FLAGS, "--max-epochs", "1",
         ])
         assert code == 0
@@ -194,7 +216,7 @@ class TestTrain:
         out = tmp_path / "ml"
         code = main([
             "train", "--train-path", str(root / "train_ml.csv"), "--labels", ",".join(names),
-            "--mode", "multi_label", "--auto-extract", "true", "--out-dir", str(out), *FAST_FLAGS,
+            "--mode", "multi_label", "--out-dir", str(out), *FAST_FLAGS,
         ])
         assert code == 0
         threshold = float((out / "threshold.txt").read_text().strip())
@@ -253,7 +275,7 @@ class TestEvaluate:
         out = tmp_path / "ml"
         assert main([
             "train", "--train-path", str(root / "train_ml.csv"), "--labels", ",".join(names),
-            "--mode", "multi_label", "--auto-extract", "true", "--out-dir", str(out), *FAST_FLAGS,
+            "--mode", "multi_label", "--out-dir", str(out), *FAST_FLAGS,
         ]) == 0
         (out / "threshold.txt").unlink()
         code = main([
@@ -331,7 +353,7 @@ class TestPredict:
         out = tmp_path / "ml"
         assert main([
             "train", "--train-path", str(root / "train_ml.csv"), "--labels", ",".join(names),
-            "--mode", "multi_label", "--auto-extract", "true", "--out-dir", str(out), *FAST_FLAGS,
+            "--mode", "multi_label", "--out-dir", str(out), *FAST_FLAGS,
         ]) == 0
         capsys.readouterr()  # drop the training output
         code = main([
@@ -351,7 +373,7 @@ class TestDecisionRule:
         out = tmp_path / "ml"
         assert main([
             "train", "--train-path", str(root / "train_ml.csv"), "--labels", ",".join(names),
-            "--mode", "multi_label", "--auto-extract", "true", "--out-dir", str(out), *FAST_FLAGS,
+            "--mode", "multi_label", "--out-dir", str(out), *FAST_FLAGS,
         ]) == 0
         reports = []
         build_report = metrics.build_report
@@ -493,6 +515,43 @@ class TestBundleMismatch:
         assert f"{vocab}: {n_tokens + 1} tokens, but the checkpoint's embedding has {n_tokens} rows" in capsys.readouterr().err
 
 
+class TestCheckpointValues:
+    def predict(self, trained, checkpoint):
+        _, _, out = trained
+        return main([
+            "predict", "--checkpoint-path", str(checkpoint), "--vocab-path", str(out / "vocab.tsv"),
+            "--descriptor-path", str(out / "descriptors.tsv"), "--text", "markera",
+        ])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_value_exit_4(self, trained, tmp_path, capsys, value):
+        _, _, out = trained
+        data = bytearray((out / "checkpoint.bin").read_bytes())
+        data[-4:] = np.array([value], dtype="<f4").tobytes()  # the last value of the last record, head.bias
+        bad = tmp_path / "checkpoint.bin"
+        bad.write_bytes(bytes(data))
+        assert self.predict(trained, bad) == 4
+        assert f"{bad}: parameter 'head.bias' holds a non-finite value" in capsys.readouterr().err
+
+    def test_separate_descriptor_table_from_older_version_exit_4(self, trained, tmp_path, capsys):
+        _, _, out = trained
+        model, _ = load_checkpoint(out / "checkpoint.bin")
+        table = model.embedding.table.data
+        name = b"desc_embedding.table"
+        record = struct.pack("<I", len(name)) + name + struct.pack("<I2Q", 2, *table.shape) + table.astype("<f4").tobytes()
+        data = (out / "checkpoint.bin").read_bytes()
+        (header_len,) = struct.unpack("<Q", data[8:16])
+        header = json.loads(data[16 : 16 + header_len])
+        header["config"].update(optimizer="adam", share_embedding=False)  # as older versions wrote it
+        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+        (n_params,) = struct.unpack("<I", data[16 + header_len : 20 + header_len])
+        records = struct.pack("<I", n_params + 1) + data[20 + header_len :] + record
+        old = tmp_path / "checkpoint.bin"
+        old.write_bytes(data[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes + records)
+        assert self.predict(trained, old) == 4
+        assert f"{n_params + 1} parameter records, model expects {n_params}" in capsys.readouterr().err
+
+
 class TestInvalidUtf8:
     @pytest.mark.parametrize(
         "which", ["dataset", "config", "vocabulary", "descriptors", "embeddings", "threshold", "input"]
@@ -512,7 +571,7 @@ class TestInvalidUtf8:
         bad = tmp_path / f"bad_{which}.txt"
         bad.write_bytes(valid.rstrip(b"\n") + b"\xff\n")
         line = bad.read_bytes().count(b"\n")
-        train = ["train", "--labels", ",".join(names), "--auto-extract", "true", "--out-dir", str(tmp_path / "run"), *FAST_FLAGS]
+        train = ["train", "--labels", ",".join(names), "--out-dir", str(tmp_path / "run"), *FAST_FLAGS]
         train_path = ["--train-path", str(root / "train.csv")]
         bundle = ["predict", "--checkpoint-path", str(checkpoint), "--text", "markera"]
         args = {
@@ -534,7 +593,7 @@ class TestNumericOptions:
     def run_train(self, tmp_path, *flags):
         return main([
             "train", "--train-path", str(tmp_path / "missing.csv"), "--labels", "a,b",
-            "--auto-extract", "true", "--out-dir", str(tmp_path / "run"), *flags,
+            "--out-dir", str(tmp_path / "run"), *flags,
         ])
 
     def test_val_fraction_nan_exit_2(self, tmp_path, capsys):

@@ -110,10 +110,11 @@ class TestAdamTranscription:
         m = np.zeros(7)
         v = np.zeros(7)
         lr, b1, b2, eps = 2e-3, 0.9, 0.999, 1e-8
+        moments = {"p": (np.zeros(7), np.zeros(7))}
         for step in range(1, 30):
             g = rng.normal(size=7)
             p.grad = g.copy()
-            adam_step([p], lr, b1, b2, eps, step_count=step)
+            adam_step([p], moments, lr, b1, b2, eps, step_count=step)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             theta = theta - lr * (m / (1 - b1**step)) / (np.sqrt(v / (1 - b2**step)) + eps)

@@ -270,13 +270,14 @@ class TestEmbedding:
         rng = np.random.default_rng(14)
         layer = nn.EmbeddingLayer(8, 4, rng, np.float64)
         ids = np.array([[0, 1, 2], [3, 0, 4]])
+        moments = {p.name: (np.zeros_like(p.data), np.zeros_like(p.data)) for p in layer.parameters()}
         for step in range(1, 6):
             layer.table.zero_grad()
             with Tape() as tape:
                 out = layer.forward(ids)
                 loss = total(nm.mul(out, out))
             backward(loss, tape)
-            adam_step(layer.parameters(), 0.05, step_count=step)
+            adam_step(layer.parameters(), moments, 0.05, step_count=step)
         np.testing.assert_array_equal(layer.table.data[0], 0.0)
         assert np.any(layer.table.data[1] != 0.0)
 
