@@ -26,7 +26,6 @@ def run_cell(train_docs, val_docs, labels, n_desc, seed, epochs):
         d_embed=16,
         gru_units=8,
         dropout_rate=0.3,
-        recurrent_dropout_rate=0.3,
         descriptor_dimension=n_desc,
         text_length=36,
         descriptor_length=10,

@@ -33,7 +33,7 @@ def accuracy_of(model, examples):
 def run(train_docs, test_docs, labels, seed, ablate, overrides):
     config = ModelConfig(
         mode="multi_class", d_embed=64, gru_units=64, dropout_rate=0.5,
-        recurrent_dropout_rate=0.5, descriptor_test="chi2", descriptor_dimension=100,
+        descriptor_test="chi2", descriptor_dimension=100,
         learning_rate=1e-3, batch_size=32, seed=seed, **overrides,
     )
     vocab = build_vocabulary(train_docs, config.vocabulary_max)

@@ -25,7 +25,7 @@ from .numerics import NonFiniteError, Parameter, Tape, Tensor
 CHECKPOINT_MAGIC = b"DCNC"
 CHECKPOINT_VERSION = 1
 # Settings that older checkpoint headers still carry; they no longer select anything.
-LEGACY_CONFIG_KEYS = ("optimizer", "share_embedding")
+LEGACY_CONFIG_KEYS = ("optimizer", "share_embedding", "recurrent_dropout_rate")
 
 
 @dataclass
@@ -36,7 +36,6 @@ class ModelConfig:
     d_embed: int = 300
     gru_units: int = 128
     dropout_rate: float = 0.5
-    recurrent_dropout_rate: float = 0.5
     descriptor_test: str = "chi2"
     descriptor_dimension: int = 100
     text_length: int = 80
@@ -60,9 +59,8 @@ class ModelConfig:
             raise DataError("vocabulary_max must be >= 3")
         if self.descriptor_length < 0 or self.patience < 0:
             raise DataError("descriptor_length and patience must be >= 0")
-        for name in ("dropout_rate", "recurrent_dropout_rate"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise DataError(f"{name} must be in [0, 1)")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise DataError("dropout_rate must be in [0, 1)")
         if not 0.0 < self.learning_rate < np.inf:
             raise DataError(f"learning_rate must be positive and finite, got {self.learning_rate}")
 
@@ -119,7 +117,7 @@ class DualChannelModel:
             p.zero_grad()
 
     def _recurrent_masks(self, batch: int, training: bool, rng) -> list[Tensor | None]:
-        rate = self.config.recurrent_dropout_rate
+        rate = self.config.dropout_rate
         if not training or rate == 0.0:
             return [None] * 4
         return [nn.dropout_mask(rng, (batch, self.config.gru_units), rate, self.dtype) for _ in range(4)]

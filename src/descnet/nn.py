@@ -150,7 +150,7 @@ def _directional_pass(
 ) -> list[Tensor]:
     batch, n_steps = embedded.shape[0], embedded.shape[1]
     xz, xr, xh = cell.input_projections(embedded)
-    h = nm.zeros((batch, cell.hidden_size), dtype=embedded.data.dtype)
+    h = Tensor(np.zeros((batch, cell.hidden_size), dtype=embedded.data.dtype))
     outputs: list[Tensor | None] = [None] * n_steps
     order = range(n_steps - 1, -1, -1) if reverse else range(n_steps)
     for t in order:
@@ -283,10 +283,8 @@ def dropout(
     return nm.mul(x, keep)
 
 
-def dropout_mask(rng: np.random.Generator, shape, rate: float, dtype) -> Tensor | None:
+def dropout_mask(rng: np.random.Generator, shape, rate: float, dtype) -> Tensor:
     """Fixed inverted-dropout mask, reused across the timesteps of a sequence."""
-    if rate == 0.0:
-        return None
     return Tensor(((rng.random(shape) >= rate) / (1.0 - rate)).astype(dtype))
 
 

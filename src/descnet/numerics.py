@@ -21,7 +21,6 @@ __all__ = [
     "Tape",
     "ShapeError",
     "NonFiniteError",
-    "zeros",
     "add",
     "sub",
     "mul",
@@ -136,12 +135,17 @@ def _emit(data: np.ndarray, inputs: Sequence[Tensor], backward_fn) -> Tensor:
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.needs_grad:
-        return
+def _grad(t: Tensor) -> np.ndarray:
+    """``t.grad``, allocated as zeros on first use."""
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    t.grad += g
+    return t.grad
+
+
+def _accum(t: Tensor, g: np.ndarray) -> None:
+    if t.needs_grad:
+        grad = _grad(t)
+        grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -155,7 +159,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _coerce_pair(op: str, a, b) -> tuple[Tensor, Tensor]:
+def _broadcasting(op: str, ufunc: np.ufunc, a, b, grad_a, grad_b) -> Tensor:
+    """``ufunc(a, b)`` under numpy broadcasting; a non-Tensor operand is a constant of the other's precision.
+
+    ``grad_a(g, x, y)`` and ``grad_b(g, x, y)`` give each operand's adjoint at
+    the broadcast shape from the upstream ``g`` and the operand values.
+    """
     if not isinstance(a, Tensor) and not isinstance(b, Tensor):
         raise ShapeError(f"{op}: at least one operand must be a Tensor")
     if not isinstance(a, Tensor):
@@ -164,55 +173,31 @@ def _coerce_pair(op: str, a, b) -> tuple[Tensor, Tensor]:
         b = Tensor(np.asarray(b, dtype=a.data.dtype))
     if a.data.dtype != b.data.dtype:
         raise ShapeError(f"{op}: mixed precision {a.data.dtype} vs {b.data.dtype}")
-    return a, b
-
-
-def zeros(shape, dtype=np.float32) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype))
-
-
-def add(a, b) -> Tensor:
-    a, b = _coerce_pair("add", a, b)
+    x, y = a.data, b.data
     try:
-        data = a.data + b.data
+        data = ufunc(x, y)
     except ValueError as e:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from e
-
-    def backward_fn(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
-
-    return _emit(data, (a, b), backward_fn)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _coerce_pair("sub", a, b)
-    try:
-        data = a.data - b.data
-    except ValueError as e:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not broadcast") from e
-
-    def backward_fn(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
-
-    return _emit(data, (a, b), backward_fn)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _coerce_pair("mul", a, b)
-    try:
-        data = a.data * b.data
-    except ValueError as e:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from e
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from e
 
     def backward_fn(g):
         if a.needs_grad:
-            _accum(a, _unbroadcast(g * b.data, a.shape))
+            _accum(a, _unbroadcast(grad_a(g, x, y), a.shape))
         if b.needs_grad:
-            _accum(b, _unbroadcast(g * a.data, b.shape))
+            _accum(b, _unbroadcast(grad_b(g, x, y), b.shape))
 
     return _emit(data, (a, b), backward_fn)
+
+
+def add(a, b) -> Tensor:
+    return _broadcasting("add", np.add, a, b, lambda g, x, y: g, lambda g, x, y: g)
+
+
+def sub(a, b) -> Tensor:
+    return _broadcasting("sub", np.subtract, a, b, lambda g, x, y: g, lambda g, x, y: -g)
+
+
+def mul(a, b) -> Tensor:
+    return _broadcasting("mul", np.multiply, a, b, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -242,13 +227,11 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    """Logistic function, computed branch-wise so large |z| cannot overflow."""
+    """Logistic function: 1 / (1 + e^-z) where z >= 0, else e^z / (1 + e^z), so exp never overflows."""
     z = a.data
-    data = np.empty_like(z)
-    pos = z >= 0
-    data[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    data[~pos] = ez / (1.0 + ez)
+    nonneg = z >= 0
+    e = np.exp(np.where(nonneg, -z, z))
+    data = np.where(nonneg, 1.0, e) / (1.0 + e)
 
     def backward_fn(g):
         _accum(a, g * data * (1.0 - data))
@@ -335,11 +318,9 @@ def select(a: Tensor, axis: int, index: int) -> Tensor:
 
     def backward_fn(g):
         if a.needs_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
             sl = [slice(None)] * a.data.ndim
             sl[axis] = index
-            a.grad[tuple(sl)] += g
+            _grad(a)[tuple(sl)] += g
 
     return _emit(data, (a,), backward_fn)
 
@@ -366,13 +347,11 @@ def embedding_gather(table: Tensor, ids: np.ndarray, padding_id: int | None = No
 
     def backward_fn(g):
         if table.needs_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
             if padding_id is None:
-                np.add.at(table.grad, ids, g)
+                np.add.at(_grad(table), ids, g)
             else:
                 keep = ids != padding_id
-                np.add.at(table.grad, ids[keep], g[keep])
+                np.add.at(_grad(table), ids[keep], g[keep])
 
     return _emit(data, (table,), backward_fn)
 
@@ -394,10 +373,7 @@ def sum_over_axis(a: Tensor, axis: int | None) -> Tensor:
     data = a.data.sum(axis=axis)
 
     def backward_fn(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.shape))
-        else:
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.shape))
+        _accum(a, np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.shape))
 
     return _emit(data, (a,), backward_fn)
 

@@ -340,7 +340,6 @@ def toy_model(mode: str = "multi_class", seed: int = 3, dropout_rate: float = 0.
         d_embed=8,
         gru_units=4,
         dropout_rate=dropout_rate,
-        recurrent_dropout_rate=dropout_rate,
         descriptor_dimension=2,
         text_length=6,
         descriptor_length=4,

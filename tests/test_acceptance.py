@@ -129,7 +129,6 @@ class TestEndToEndLearning:
             d_embed=16,
             gru_units=8,
             dropout_rate=0.2,
-            recurrent_dropout_rate=0.2,
             descriptor_dimension=1,
             text_length=12,
             vocabulary_max=500,
@@ -159,7 +158,6 @@ def _news_run(train_docs, test_docs, labels, seed, ablate_descriptors, config_ov
         d_embed=64,
         gru_units=64,
         dropout_rate=0.5,
-        recurrent_dropout_rate=0.5,
         descriptor_test="chi2",
         descriptor_dimension=100,
         learning_rate=1e-3,
@@ -248,7 +246,6 @@ class TestDimensionTrend:
                 d_embed=16,
                 gru_units=8,
                 dropout_rate=0.3,
-                recurrent_dropout_rate=0.3,
                 descriptor_dimension=n_desc,
                 text_length=36,
                 descriptor_length=10,
@@ -285,7 +282,7 @@ class TestDeterminism:
             "--out-dir", str(out),
             "--d-embed", "8", "--gru-units", "4", "--text-length", "10",
             "--descriptor-dimension", "2", "--max-epochs", "3", "--seed", "11",
-            "--dropout-rate", "0.4", "--recurrent-dropout-rate", "0.4",
+            "--dropout-rate", "0.4",
         ]
         assert cli_main(args(tmp_path / "run_a")) == 0
         assert cli_main(args(tmp_path / "run_b")) == 0

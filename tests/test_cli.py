@@ -14,8 +14,7 @@ from descnet.model import ModelConfig, load_checkpoint, predict, save_checkpoint
 from descnet.synth import marker_corpus, write_csv
 
 FAST_FLAGS = [
-    "--d-embed", "8", "--gru-units", "4", "--dropout-rate", "0.0",
-    "--recurrent-dropout-rate", "0.0", "--text-length", "10",
+    "--d-embed", "8", "--gru-units", "4", "--dropout-rate", "0.0", "--text-length", "10",
     "--descriptor-dimension", "1", "--max-epochs", "5", "--learning-rate", "0.01",
     "--batch-size", "16", "--seed", "7",
 ]
@@ -119,7 +118,7 @@ class TestTrain:
         leaked = extract_descriptors(train_docs + val_docs, vocab, labels, "chi2", 1, RunConfig.min_doc_frequency)
         assert leaked.entries != expected.entries
 
-    @pytest.mark.parametrize("line", ["optimizer = adam", "share_embedding = true", "auto_extract = true"])
+    @pytest.mark.parametrize("line", ["optimizer = adam", "share_embedding = true", "auto_extract = true", "recurrent_dropout_rate = 0.5"])
     def test_removed_config_keys_exit_2(self, tmp_path, capsys, line):
         cfg = tmp_path / "old.cfg"
         cfg.write_text(f"seed = 7\n{line}\n")
@@ -137,7 +136,6 @@ class TestTrain:
                 "d_embed = 8",
                 "gru_units = 4",
                 "dropout_rate = 0.0",
-                "recurrent_dropout_rate = 0.0",
                 "text_length = 10",
                 "descriptor_dimension = 1",
                 "max_epochs = 1",

@@ -31,7 +31,6 @@ def tiny_config(mode="multi_class", **overrides):
         d_embed=8,
         gru_units=4,
         dropout_rate=0.0,
-        recurrent_dropout_rate=0.0,
         descriptor_test="chi2",
         descriptor_dimension=2,
         text_length=10,
@@ -105,7 +104,7 @@ class TestForward:
 
 
 def trim_model(dropout: float = 0.0) -> DualChannelModel:
-    config = tiny_config(text_length=24, dropout_rate=dropout, recurrent_dropout_rate=dropout)
+    config = tiny_config(text_length=24, dropout_rate=dropout)
     return DualChannelModel(config, vocab_size=50, n_classes=3)
 
 
@@ -215,7 +214,7 @@ class TestTrain:
         ]
 
     def _fresh(self):
-        model, examples, *_ = tiny_setup(max_epochs=2, dropout_rate=0.3, recurrent_dropout_rate=0.3)
+        model, examples, *_ = tiny_setup(max_epochs=2, dropout_rate=0.3)
         return model, examples[:40], examples[40:]
 
     def test_loss_decreases_within_first_epoch_on_separable_task(self):
@@ -318,7 +317,7 @@ class TestCheckpoint:
         raw = path.read_bytes()
         (header_len,) = struct.unpack("<Q", raw[8:16])
         header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
-        header["config"].update(optimizer="adam", share_embedding=True)  # as older versions wrote it
+        header["config"].update(optimizer="adam", share_embedding=True, recurrent_dropout_rate=0.0)  # as older versions wrote it
         new_header = json.dumps(header, sort_keys=True).encode("utf-8")
         path.write_bytes(raw[:8] + struct.pack("<Q", len(new_header)) + new_header + raw[16 + header_len :])
         loaded, _ = load_checkpoint(path)

@@ -22,6 +22,19 @@ def scalar_sum(t):
     return nm.sum_over_axis(t, axis=None)
 
 
+def branchwise_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The two-branch logistic that ``nm.sigmoid`` must reproduce bit for bit."""
+    data = np.empty_like(z)
+    pos = z >= 0
+    data[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    data[~pos] = ez / (1.0 + ez)
+    return data
+
+
+SIGMOID_SPECIALS = [np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 88.7, -88.7, 1e4, -1e4]
+
+
 class TestForwardValues:
     def test_softmax_symmetry(self):
         out = nm.softmax(Tensor(np.array([0.0, 0.0])), axis=-1)
@@ -54,6 +67,50 @@ class TestForwardValues:
     def test_mixed_precision_rejected(self):
         with pytest.raises(ShapeError, match="precision"):
             nm.add(Tensor(np.ones(2, dtype=np.float32)), Tensor(np.ones(2, dtype=np.float64)))
+
+
+class TestBroadcastingOps:
+    """``add``, ``sub`` and ``mul`` share one broadcasting kernel; these pin its adjoints and errors."""
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
+    @pytest.mark.parametrize("shapes", [
+        ((3, 4), (4,)),
+        ((3, 1), (1, 4)),
+        ((2, 3, 4), (3, 1)),
+        (1.0, (3, 4)),  # a Python scalar on the left: sub(1.0, z) as the GRU and BCE write it
+        ((3, 4), 0.5),
+    ], ids=["3x4-4", "3x1-1x4", "2x3x4-3x1", "scalar-left", "scalar-right"])
+    def test_broadcast_adjoints(self, op, shapes):
+        rng = np.random.default_rng(zlib.crc32(f"{op}{shapes}".encode()))
+        operands = [
+            Parameter(rng.normal(size=s), name=name) if isinstance(s, tuple) else s
+            for s, name in zip(shapes, "ab")
+        ]
+        params = [t for t in operands if isinstance(t, Parameter)]
+        assert grad_check(lambda: scalar_sum(nm.tanh(getattr(nm, op)(*operands))), params) < 1e-6
+        for p in params:
+            assert p.grad.shape == p.shape
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
+    def test_constant_tensor_operand_keeps_no_gradient(self, op):
+        w = Parameter(np.ones((3, 4)), name="w")
+        c = Tensor(np.full(4, 2.0))
+        for left, right in ((c, w), (w, c)):
+            w.grad = None
+            with Tape() as tape:
+                loss = scalar_sum(getattr(nm, op)(left, right))
+            backward(loss, tape)
+            assert c.grad is None
+            assert w.grad is not None and w.grad.shape == w.shape
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
+    def test_errors_name_the_op(self, op):
+        with pytest.raises(ShapeError, match=f"^{op}: shapes"):
+            getattr(nm, op)(Tensor(np.ones(3)), Tensor(np.ones(4)))
+        with pytest.raises(ShapeError, match=f"^{op}: mixed precision"):
+            getattr(nm, op)(Tensor(np.ones(2, dtype=np.float32)), Tensor(np.ones(2)))
+        with pytest.raises(ShapeError, match=f"^{op}: at least one operand"):
+            getattr(nm, op)(1.0, 2.0)
 
 
 class TestBackward:
@@ -246,6 +303,19 @@ class TestProperties:
     def test_sigmoid_symmetry(self, z):
         s = nm.sigmoid(Tensor(np.array([z, -z])))
         assert abs(s.data.sum() - 1.0) < 1e-12
+
+    @given(
+        st.sampled_from([np.float32, np.float64]),
+        st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=12),
+    )
+    def test_sigmoid_matches_branchwise_reference_bit_for_bit(self, dtype, values):
+        with np.errstate(over="ignore"):  # a float64 beyond float32's range casts to inf
+            z = np.array([*values, *SIGMOID_SPECIALS], dtype=dtype)
+        for arr in [z, *(np.array(v, dtype=dtype) for v in z)]:  # the whole vector, then each entry as a 0-d array
+            with np.errstate(over="raise"):
+                out = nm.sigmoid(Tensor(arr)).data
+            assert out.shape == arr.shape and out.dtype == arr.dtype
+            assert out.tobytes() == branchwise_sigmoid(arr).tobytes()
 
     @settings(max_examples=25)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
