@@ -93,10 +93,10 @@ def load_pretrained_embeddings(layer: EmbeddingLayer, path, token_to_id: dict[st
 
 
 class GRUCell:
-    """Gated recurrent unit: update gate z, reset gate r, candidate state.
+    """Gated recurrent unit parameters: update gate z, reset gate r, candidate state.
 
     h_t = (1 - z) * h_prev + z * h_tilde, the convention of the original
-    encoder-decoder formulation.
+    encoder-decoder formulation; ``nm.gru_sequence`` runs the recurrence.
     """
 
     def __init__(self, input_dim: int, hidden_size: int, rng: np.random.Generator, dtype=np.float32, name: str = "gru"):
@@ -119,49 +119,6 @@ class GRUCell:
     def parameters(self) -> list[Parameter]:
         return [self.W_z, self.U_z, self.b_z, self.W_r, self.U_r, self.b_r, self.W_h, self.U_h, self.b_h]
 
-    def input_projections(self, x_seq: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """Precompute x @ W_* + b_* for all timesteps at once."""
-        return (
-            nm.add(nm.matmul(x_seq, self.W_z), self.b_z),
-            nm.add(nm.matmul(x_seq, self.W_r), self.b_r),
-            nm.add(nm.matmul(x_seq, self.W_h), self.b_h),
-        )
-
-    def step(self, xz_t: Tensor, xr_t: Tensor, xh_t: Tensor, h_prev: Tensor, recurrent_mask: Tensor | None = None) -> Tensor:
-        """One recurrence step from precomputed input projections.
-
-        ``recurrent_mask`` is the per-sequence dropout mask applied to the
-        recurrent connections (gate and candidate paths); the state carry
-        (1 - z) * h_prev stays undropped.
-        """
-        h_rec = nm.mul(h_prev, recurrent_mask) if recurrent_mask is not None else h_prev
-        z = nm.sigmoid(nm.add(xz_t, nm.matmul(h_rec, self.U_z)))
-        r = nm.sigmoid(nm.add(xr_t, nm.matmul(h_rec, self.U_r)))
-        h_tilde = nm.tanh(nm.add(xh_t, nm.matmul(nm.mul(r, h_rec), self.U_h)))
-        return nm.add(nm.mul(nm.sub(1.0, z), h_prev), nm.mul(z, h_tilde))
-
-
-def _directional_pass(
-    cell: GRUCell,
-    embedded: Tensor,
-    step_mask: np.ndarray,
-    reverse: bool,
-    recurrent_mask: Tensor | None,
-) -> list[Tensor]:
-    batch, n_steps = embedded.shape[0], embedded.shape[1]
-    xz, xr, xh = cell.input_projections(embedded)
-    h = Tensor(np.zeros((batch, cell.hidden_size), dtype=embedded.data.dtype))
-    outputs: list[Tensor | None] = [None] * n_steps
-    order = range(n_steps - 1, -1, -1) if reverse else range(n_steps)
-    for t in order:
-        m_t = step_mask[:, t : t + 1]
-        h_new = cell.step(nm.select(xz, 1, t), nm.select(xr, 1, t), nm.select(xh, 1, t), h, recurrent_mask)
-        # Padded steps emit zeros and reset the state. Valid steps are a prefix
-        # of each row, so the forward direction never reads a reset state at a
-        # valid step, and the backward direction enters the prefix from zeros.
-        h = outputs[t] = nm.mul(h_new, m_t)
-    return outputs  # type: ignore[return-value]
-
 
 def bigru_forward(
     forward_cell: GRUCell,
@@ -177,9 +134,9 @@ def bigru_forward(
     length are exactly zero.
     """
     mask = _valid_mask(lengths, embedded.shape[1], embedded.data.dtype)
-    fwd = _directional_pass(forward_cell, embedded, mask, False, forward_recurrent_mask)
-    bwd = _directional_pass(backward_cell, embedded, mask, True, backward_recurrent_mask)
-    return nm.concat([nm.stack(fwd, axis=1), nm.stack(bwd, axis=1)], axis=2)
+    fwd = nm.gru_sequence(embedded, forward_cell.parameters(), mask, False, forward_recurrent_mask)
+    bwd = nm.gru_sequence(embedded, backward_cell.parameters(), mask, True, backward_recurrent_mask)
+    return nm.concat([fwd, bwd], axis=2)
 
 
 def max_pool_time(hidden: Tensor, lengths: np.ndarray) -> Tensor:

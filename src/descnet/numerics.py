@@ -31,6 +31,7 @@ __all__ = [
     "log",
     "clip",
     "concat",
+    "gru_sequence",
     "stack",
     "select",
     "reshape",
@@ -226,12 +227,24 @@ def tanh(a: Tensor) -> Tensor:
     return _emit(data, (a,), backward_fn)
 
 
+def _logistic(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-z) where z >= 0, else e^z / (1 + e^z), so exp never overflows.
+
+    Written without ``np.where``, whose data-dependent branches made it the
+    slowest step. ``minimum(z, -z)`` is -|z| but returns its first operand
+    when both are NaN, so a NaN keeps its sign and payload. With
+    e = exp(-|z|), ``maximum(e, z >= 0)`` picks 1 where z >= 0 (there e <= 1)
+    and e elsewhere (there e >= 0), and passes a NaN through. Each element
+    gets its branch's operations, so the result is bit-identical to the
+    two-branch form.
+    """
+    e = np.exp(np.minimum(z, -z))
+    return np.maximum(e, (z >= 0).astype(z.dtype)) / (1.0 + e)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    """Logistic function: 1 / (1 + e^-z) where z >= 0, else e^z / (1 + e^z), so exp never overflows."""
-    z = a.data
-    nonneg = z >= 0
-    e = np.exp(np.where(nonneg, -z, z))
-    data = np.where(nonneg, 1.0, e) / (1.0 + e)
+    """Logistic function, computed by the overflow-safe ``_logistic``."""
+    data = _logistic(a.data)
 
     def backward_fn(g):
         _accum(a, g * data * (1.0 - data))
@@ -376,6 +389,106 @@ def sum_over_axis(a: Tensor, axis: int | None) -> Tensor:
         _accum(a, np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.shape))
 
     return _emit(data, (a,), backward_fn)
+
+
+def gru_sequence(
+    x: Tensor,
+    weights: Sequence[Parameter],
+    step_mask: np.ndarray,
+    reverse: bool,
+    recurrent_mask: Tensor | None = None,
+) -> Tensor:
+    """One GRU direction over time as a single tape record: states of shape (batch, steps, hidden).
+
+    ``weights`` are (W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h), as in
+    ``GRUCell.parameters()``. Step t, taken in reverse time order when
+    ``reverse``, computes with h_rec = h_prev * recurrent_mask (h_prev when
+    no mask), the mask being a constant (batch, hidden) dropout mask, and s
+    the logistic function:
+
+        z = s(x_t W_z + b_z + h_rec U_z);  r = s(x_t W_r + b_r + h_rec U_r)
+        c = tanh(x_t W_h + b_h + (r * h_rec) U_h)
+        h_t = ((1 - z) * h_prev + z * c) * step_mask[:, t]
+
+    so a padded step emits zeros and resets the state. The forward issues the
+    numpy calls of the op-by-op tape path (``verify.bigru_oracle``) on the same
+    operand shapes, and the adjoint sums every gradient in that path's replay
+    order, so states and gradients are byte-identical to it. Per-step values
+    are kept only while a tape is recording.
+    """
+    W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = weights
+    if x.data.ndim != 3 or x.shape[2] != W_z.shape[0] or x.data.dtype != W_z.data.dtype:
+        raise ShapeError(f"gru_sequence: input {x.shape} {x.data.dtype} does not fit W_z {W_z.shape} {W_z.data.dtype}")
+    xz = x.data @ W_z.data + b_z.data
+    xr = x.data @ W_r.data + b_r.data
+    xh = x.data @ W_h.data + b_h.data
+    drop = None if recurrent_mask is None else recurrent_mask.data
+    n_steps = x.shape[1]
+    order = range(n_steps - 1, -1, -1) if reverse else range(n_steps)
+    recording = _active_tape() is not None
+    h = np.zeros((x.shape[0], U_z.shape[0]), dtype=x.data.dtype)
+    states: list[np.ndarray | None] = [None] * n_steps
+    saved = []
+    for t in order:
+        h_rec = h if drop is None else h * drop
+        z = _logistic(xz[:, t] + h_rec @ U_z.data)
+        r = _logistic(xr[:, t] + h_rec @ U_r.data)
+        rh = r * h_rec
+        c = np.tanh(xh[:, t] + rh @ U_h.data)
+        not_z = 1.0 - z
+        if recording:
+            saved.append((h, h_rec, z, r, rh, c, not_z))
+        h = states[t] = (not_z * h + z * c) * step_mask[:, t : t + 1]
+    data = np.stack(states, axis=1)
+
+    def backward_fn(g):
+        g_xz, g_xr, g_xh = np.zeros_like(xz), np.zeros_like(xr), np.zeros_like(xh)
+        grad_U_z, grad_U_r, grad_U_h = _grad(U_z), _grad(U_r), _grad(U_h)
+        g_state = g[:, order[-1]]
+        for i in range(n_steps - 1, -1, -1):
+            t = order[i]
+            g_out_prev = g[:, order[i - 1]] if i > 0 else None
+            g_a_z, g_a_r, g_a_h, g_state = _gru_step_adjoint(
+                g_state * step_mask[:, t : t + 1], g_out_prev, saved[i], drop, U_z.data, U_r.data, U_h.data
+            )
+            _, h_rec, _, _, rh, _, _ = saved[i]
+            grad_U_h += rh.T @ g_a_h
+            grad_U_r += h_rec.T @ g_a_r
+            grad_U_z += h_rec.T @ g_a_z
+            g_xz[:, t], g_xr[:, t], g_xh[:, t] = g_a_z, g_a_r, g_a_h
+        flat_x = x.data.reshape(-1, x.shape[-1])
+        for W, b, g_p in ((W_h, b_h, g_xh), (W_r, b_r, g_xr), (W_z, b_z, g_xz)):
+            _accum(b, _unbroadcast(g_p, b.shape))
+            if x.needs_grad:
+                _accum(x, g_p @ W.data.T)
+            _accum(W, flat_x.T @ g_p.reshape(-1, g_p.shape[-1]))
+
+    return _emit(data, (x, *weights), backward_fn)
+
+
+def _gru_step_adjoint(g_new, g_out_prev, saved, recurrent_mask, U_z, U_r, U_h):
+    """Pre-activation adjoints of one ``gru_sequence`` step, and the gradient of its h_prev.
+
+    ``g_new`` is the gradient of the step's new state before the step mask;
+    ``g_out_prev`` is the output gradient at h_prev's position, or None at
+    the first step, whose h_prev is the constant zero state (its gradient is
+    then None too). Each sum runs in the op-by-op path's order. The closure
+    looks this function up at each call, so ``verify --inject-fault`` can
+    put a corrupted BPTT step in its place.
+    """
+    h_prev, h_rec, z, r, _, c, not_z = saved
+    g_a_h = g_new * z * (1.0 - c * c)
+    g_rh = g_a_h @ U_h.T
+    g_a_r = g_rh * h_rec * r * (1.0 - r)
+    g_a_z = (g_new * c - g_new * h_prev) * z * not_z
+    if g_out_prev is None:
+        return g_a_z, g_a_r, g_a_h, None
+    g_prev = g_out_prev + g_new * not_z
+    if recurrent_mask is None:
+        g_prev = g_prev + g_rh * r + g_a_r @ U_r.T + g_a_z @ U_z.T
+    else:
+        g_prev = g_prev + (g_rh * r + g_a_r @ U_r.T + g_a_z @ U_z.T) * recurrent_mask
+    return g_a_z, g_a_r, g_a_h, g_prev
 
 
 def backward(loss: Tensor, tape: Tape) -> None:

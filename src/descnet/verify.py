@@ -124,6 +124,56 @@ def padded_forward(model: DualChannelModel, text_ids, desc_ids, training: bool =
     return model.head.forward(features)
 
 
+def gru_input_projections(cell: nn.GRUCell, x_seq: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+    """x @ W_* + b_* for all timesteps at once."""
+    return (
+        nm.add(nm.matmul(x_seq, cell.W_z), cell.b_z),
+        nm.add(nm.matmul(x_seq, cell.W_r), cell.b_r),
+        nm.add(nm.matmul(x_seq, cell.W_h), cell.b_h),
+    )
+
+
+def gru_step(cell: nn.GRUCell, xz_t: Tensor, xr_t: Tensor, xh_t: Tensor, h_prev: Tensor, recurrent_mask: Tensor | None = None) -> Tensor:
+    """One recurrence step from precomputed input projections, one tape record per operation.
+
+    ``recurrent_mask`` is the per-sequence dropout mask on the recurrent
+    connections (gate and candidate paths); the state carry (1 - z) * h_prev
+    stays undropped.
+    """
+    h_rec = nm.mul(h_prev, recurrent_mask) if recurrent_mask is not None else h_prev
+    z = nm.sigmoid(nm.add(xz_t, nm.matmul(h_rec, cell.U_z)))
+    r = nm.sigmoid(nm.add(xr_t, nm.matmul(h_rec, cell.U_r)))
+    h_tilde = nm.tanh(nm.add(xh_t, nm.matmul(nm.mul(r, h_rec), cell.U_h)))
+    return nm.add(nm.mul(nm.sub(1.0, z), h_prev), nm.mul(z, h_tilde))
+
+
+def bigru_oracle(
+    forward_cell: nn.GRUCell,
+    backward_cell: nn.GRUCell,
+    embedded: Tensor,
+    lengths: np.ndarray,
+    forward_recurrent_mask: Tensor | None = None,
+    backward_recurrent_mask: Tensor | None = None,
+) -> Tensor:
+    """``nn.bigru_forward`` built op by op on the tape: the path ``nm.gru_sequence`` must match byte for byte."""
+    step_mask = nn._valid_mask(lengths, embedded.shape[1], embedded.data.dtype)
+    batch, n_steps = embedded.shape[0], embedded.shape[1]
+    directions = []
+    for cell, reverse, recurrent_mask in (
+        (forward_cell, False, forward_recurrent_mask),
+        (backward_cell, True, backward_recurrent_mask),
+    ):
+        xz, xr, xh = gru_input_projections(cell, embedded)
+        h = Tensor(np.zeros((batch, cell.hidden_size), dtype=embedded.data.dtype))
+        outputs: list[Tensor | None] = [None] * n_steps
+        for t in range(n_steps - 1, -1, -1) if reverse else range(n_steps):
+            h_new = gru_step(cell, nm.select(xz, 1, t), nm.select(xr, 1, t), nm.select(xh, 1, t), h, recurrent_mask)
+            # Padded steps emit zeros and reset the state.
+            h = outputs[t] = nm.mul(h_new, step_mask[:, t : t + 1])
+        directions.append(nm.stack(outputs, axis=1))
+    return nm.concat(directions, axis=2)
+
+
 def training_gradients(forward, model: DualChannelModel, text_ids, desc_ids, targets, rng) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and every parameter gradient of one training-mode ``forward(model, text_ids, desc_ids, training, rng)``."""
     model.zero_grad()
@@ -284,7 +334,7 @@ def _layer_cases(rng: np.random.Generator):
     h_prev = Tensor(rng.normal(size=(2, 4)) * 0.5)
 
     def cell_loss():
-        h_t = cell.step(*cell.input_projections(x_t), h_prev)
+        h_t = gru_step(cell, *gru_input_projections(cell, x_t), h_prev)
         return total(nm.mul(h_t, h_t))
 
     cases.append(("gru_cell", cell_loss, cell.parameters()))
@@ -299,6 +349,13 @@ def _layer_cases(rng: np.random.Generator):
         return total(nm.mul(h, h))
 
     cases.append(("bigru_forward", bigru_loss, fwd.parameters() + bwd.parameters()))
+    drop = [nn.dropout_mask(rng, (2, 4), 0.3, dtype) for _ in range(2)]
+
+    def bigru_dropout_loss():
+        h = nn.bigru_forward(fwd, bwd, emb, lengths, *drop)
+        return total(nm.mul(h, h))
+
+    cases.append(("bigru_forward_dropout", bigru_dropout_loss, fwd.parameters() + bwd.parameters()))
 
     # ids avoid the padding row: it is pinned at zero by contract, so finite
     # differences on it would measure a constraint, not a gradient.
@@ -400,6 +457,54 @@ def check_trimmed_forward(seed: int = 5) -> CheckResult:
     )
 
 
+def bigru_arrays(bigru, cells, x: Parameter, lengths, masks, weight: np.ndarray) -> list[np.ndarray]:
+    """Output, every parameter gradient and the input gradient of ``sum(bigru(...) * weight)``."""
+    params = cells[0].parameters() + cells[1].parameters() + [x]
+    for p in params:
+        p.zero_grad()
+    with Tape() as tape:
+        out = bigru(*cells, x, lengths, *masks)
+        loss = nm.sum_over_axis(nm.mul(out, weight), axis=None)
+    nm.backward(loss, tape)
+    return [out.data] + [p.grad for p in params]
+
+
+def check_fused_gru(seed: int = 19) -> CheckResult:
+    """``nn.bigru_forward`` (one ``nm.gru_sequence`` record per direction) against :func:`bigru_oracle`, byte for byte.
+
+    Shapes include a single row, one step, one input feature and one hidden
+    unit, where BLAS switches from matrix-matrix to matrix-vector kernels;
+    lengths include 0, 1 and the full width; each case runs with and
+    without recurrent dropout, in float32 and float64.
+    """
+    rng = np.random.default_rng(seed)
+    shapes = [(1, 5, 3, 4), (2, 5, 3, 4), (32, 6, 8, 8), (2, 1, 3, 4), (2, 5, 1, 4), (2, 5, 3, 1)]
+    cases, differing, worst = 0, 0, 0.0
+    for dtype in (np.float32, np.float64):
+        for batch, n_steps, d, hidden in shapes:
+            cells = nn.GRUCell(d, hidden, rng, dtype, name="fwd"), nn.GRUCell(d, hidden, rng, dtype, name="bwd")
+            patterns = {(0,) * batch, (1,) * batch, (n_steps,) * batch, tuple(np.resize([0, 1, n_steps], batch))}
+            for lengths in sorted(patterns):
+                for rate in (0.0, 0.3):
+                    x = Parameter(rng.normal(size=(batch, n_steps, d)).astype(dtype), name="x")
+                    weight = rng.normal(size=(batch, n_steps, 2 * hidden)).astype(dtype)
+                    masks = [nn.dropout_mask(rng, (batch, hidden), rate, dtype) for _ in range(2)] if rate else []
+                    fused = bigru_arrays(nn.bigru_forward, cells, x, np.array(lengths), masks, weight)
+                    oracle = bigru_arrays(bigru_oracle, cells, x, np.array(lengths), masks, weight)
+                    for produced, expected in zip(fused, oracle):
+                        if produced.dtype != expected.dtype or produced.tobytes() != expected.tobytes():
+                            differing += 1
+                            worst = max(worst, relative_gap(produced.astype(np.float64), expected.astype(np.float64)))
+                    cases += 1
+    return CheckResult(
+        "fused GRU vs op-by-op tape oracle, byte for byte",
+        differing == 0,
+        worst,
+        0.0,
+        f"{cases} cases in f32 and f64, {differing} arrays not byte-identical",
+    )
+
+
 def check_probability_invariants(n_trials: int = 1000, seed: int = 17) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -451,6 +556,16 @@ def check_auc_equivalence(n_instances: int = 100, seed: int = 23) -> CheckResult
     return CheckResult("roc_auc vs all-pairs concordance oracle", worst < 1e-12, worst, 1e-12, f"{n_instances} instances + hand cases")
 
 
+def scaled_carry(step_adjoint):
+    """``step_adjoint`` with the gradient it carries back in time scaled by 1.01: the fused-BPTT fault."""
+
+    def corrupted(*args):
+        *gate_adjoints, g_prev = step_adjoint(*args)
+        return (*gate_adjoints, None if g_prev is None else g_prev * 1.01)
+
+    return corrupted
+
+
 def _corrupted_tanh(a: Tensor) -> Tensor:
     """Correct forward, adjoint scaled by 1.01: the fault-injection hook."""
     data = np.tanh(a.data)
@@ -464,16 +579,19 @@ def _corrupted_tanh(a: Tensor) -> Tensor:
 def run_all(quick: bool = False, inject_fault: bool = False) -> list[CheckResult]:
     """Run every check; ``quick`` shrinks the sample counts for smoke testing.
 
-    ``inject_fault`` deliberately corrupts the tanh adjoint and makes the
-    batch trim drop one valid step for the duration, which must make the
-    gradient checks and the trim check fail — used to prove the checks can
-    actually catch a broken adjoint or a wrong trim.
+    ``inject_fault`` deliberately corrupts the adjoint of ``nm.tanh`` (which
+    the op-by-op oracle and attention use) and, separately, the fused GRU's
+    BPTT, and makes the batch trim drop one valid step for the duration,
+    which must make the gradient checks, the fused-GRU check and the trim
+    check fail — used to prove the checks can actually catch a broken
+    adjoint or a wrong trim.
     """
     n_corpora = 100 if quick else 1000
     n_trials = 100 if quick else 1000
-    original_tanh, original_trim = nm.tanh, model_module.trim_length
+    original_tanh, original_step_adjoint, original_trim = nm.tanh, nm._gru_step_adjoint, model_module.trim_length
     if inject_fault:
         nm.tanh = _corrupted_tanh
+        nm._gru_step_adjoint = scaled_carry(original_step_adjoint)
         model_module.trim_length = lambda lengths: original_trim(lengths) - 1
     try:
         results = [
@@ -484,9 +602,10 @@ def run_all(quick: bool = False, inject_fault: bool = False) -> list[CheckResult
             check_layer_gradients(),
             check_full_model_gradient(),
             check_trimmed_forward(),
+            check_fused_gru(),
             check_probability_invariants(n_trials),
             check_auc_equivalence(),
         ]
     finally:
-        nm.tanh, model_module.trim_length = original_tanh, original_trim
+        nm.tanh, nm._gru_step_adjoint, model_module.trim_length = original_tanh, original_step_adjoint, original_trim
     return results

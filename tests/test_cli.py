@@ -424,7 +424,7 @@ class TestVerifyCommand:
     def test_fresh_build_passes(self, capsys):
         assert main(["verify", "--quick"]) == 0
         out = capsys.readouterr().out
-        assert "9/9 checks passed" in out
+        assert "10/10 checks passed" in out
         assert "tolerance" in out
 
     def test_injected_fault_fails(self, capsys):
@@ -432,6 +432,7 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "FAIL  trimmed forward vs padded-width oracle" in out
+        assert "FAIL  fused GRU vs op-by-op tape oracle" in out
 
 
 class TestExitCodes:

@@ -9,7 +9,7 @@ scikit-learn are optional: the tests skip if they are absent.
 import numpy as np
 import pytest
 
-from descnet import nn
+from descnet import nn, verify
 from descnet import numerics as nm
 from descnet.descriptors import anova_f_score
 from descnet.metrics import precision_recall_f1, roc_auc
@@ -38,7 +38,7 @@ class TestGRUEquationTranscription:
             cell = nn.GRUCell(3, 5, rng, np.float64)
             x = rng.normal(size=(4, 3))
             h = rng.normal(size=(4, 5))
-            got = cell.step(*cell.input_projections(Tensor(x)), Tensor(h)).data
+            got = verify.gru_step(cell, *verify.gru_input_projections(cell, Tensor(x)), Tensor(h)).data
             np.testing.assert_allclose(got, self.reference_step(cell, x, h), atol=1e-12)
 
     def test_bigru_matches_reference_loop_with_masking(self):

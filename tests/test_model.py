@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from descnet import nn
+from descnet import nn, verify
 from descnet.corpus import LabelSpace, build_vocabulary
 from descnet.descriptors import extract_descriptors
 from descnet.errors import ArtifactError, DataError
@@ -21,7 +21,7 @@ from descnet.model import (
     save_checkpoint,
     train,
 )
-from descnet.synth import marker_corpus, to_documents
+from descnet.synth import marker_corpus, news_like_corpus, to_documents
 from descnet.verify import padded_forward, training_gradients
 
 
@@ -264,6 +264,61 @@ class TestPredict:
         picked, probs = predict(model, vocab, descriptors, "")
         assert len(picked) == 1
         assert np.all(np.isfinite(probs))
+
+
+def joined_short_docs(n_docs: int, seed: int) -> tuple[list[tuple[str, str]], list[str]]:
+    """Multi-label rows that join 1-2 short news-like docs and their labels, over 6 classes."""
+    rows, names = news_like_corpus(2 * n_docs, n_classes=6, min_len=5, max_len=20, seed=seed)
+    rng = np.random.default_rng([seed, 3])
+    joined, pos = [], 0
+    while len(joined) < n_docs:
+        parts = rows[pos : pos + int(rng.integers(1, 3))]
+        pos += len(parts)
+        joined.append((" ".join(t for t, _ in parts), "|".join(sorted({c for _, c in parts}))))
+    return joined, names
+
+
+class TestServingConsistency:
+    """Single-document ``predict`` against 128-doc batched scoring, on short joined multi-label documents.
+
+    A one-row forward runs matrix-vector BLAS kernels where a batch runs
+    matrix-matrix ones, so the two can differ in the last bits but must stay
+    within 1e-6; and both must be byte-identical to the op-by-op GRU oracle.
+    """
+
+    @pytest.fixture(scope="class")
+    def served(self):
+        n_train, n_score = 256, 512
+        rows, names = joined_short_docs(n_train + n_score, seed=1)
+        labels = LabelSpace(tuple(names), "multi_label")
+        docs = to_documents(rows, labels)
+        cfg = ModelConfig(mode="multi_label", d_embed=64, gru_units=64, learning_rate=0.05, max_epochs=1, patience=0, seed=1)
+        vocab = build_vocabulary(docs[:n_train], cfg.vocabulary_max)
+        desc = extract_descriptors(docs[:n_train], vocab, labels, "chi2", cfg.descriptor_dimension)
+        train_ex = encode_examples(docs[:n_train], vocab, desc, labels, cfg)
+        model = DualChannelModel(cfg, len(vocab), len(labels))
+        train(model, train_ex, train_ex[:64])
+        score_ex = encode_examples(docs[n_train:], vocab, desc, labels, cfg)
+        texts = [text for text, _ in rows[n_train:]]
+
+        def scores():
+            batched = predict_probabilities(model, score_ex, batch_size=128)
+            single = np.stack([predict(model, vocab, desc, text, 0.5)[1] for text in texts])
+            return batched, single
+
+        return scores, scores()
+
+    def test_single_predictions_match_batched_rows(self, served):
+        batched, single = served[1]
+        assert batched.shape == single.shape == (512, 6)
+        assert float(np.abs(single - batched).max()) <= 1e-6
+
+    def test_scores_byte_identical_to_op_by_op_oracle(self, served, monkeypatch):
+        scores, fused = served
+        monkeypatch.setattr(nn, "bigru_forward", verify.bigru_oracle)
+        oracle = scores()
+        for produced, expected in zip(fused, oracle):
+            assert produced.tobytes() == expected.tobytes()
 
 
 class TestCheckpoint:

@@ -2,8 +2,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from descnet import nn
+from descnet import nn, verify
 from descnet import numerics as nm
 from descnet.errors import DataError
 from descnet.numerics import Parameter, Tape, Tensor, adam_step, backward, grad_check
@@ -14,8 +16,8 @@ def total(t):
 
 
 def gru_step(cell, x_t, h_prev):
-    """One recurrence step from raw input vectors, as ``bigru_forward`` runs it."""
-    return cell.step(*cell.input_projections(x_t), h_prev)
+    """One recurrence step from raw input vectors, by the op-by-op oracle in ``verify``."""
+    return verify.gru_step(cell, *verify.gru_input_projections(cell, x_t), h_prev)
 
 
 class TestGRUCell:
@@ -112,6 +114,56 @@ class TestBiGRU:
         out = nn.bigru_forward(fwd, bwd, emb, np.array([0, 4]))
         np.testing.assert_array_equal(out.data[0], 0.0)
         assert np.any(out.data[1] != 0.0)
+
+
+class TestFusedGRU:
+    """``nn.bigru_forward`` runs one ``nm.gru_sequence`` record per direction; ``verify.bigru_oracle`` is the op-by-op path."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([np.float32, np.float64]),
+        st.integers(1, 6),
+        st.integers(1, 5),
+        st.integers(1, 4),
+        st.integers(1, 5),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    # The single-row, single-step, single-feature and single-unit shapes,
+    # where BLAS switches to matrix-vector kernels, always run.
+    @example(np.float32, 1, 1, 1, 1, True, 0)
+    @example(np.float32, 1, 5, 3, 4, True, 1)
+    @example(np.float64, 3, 1, 3, 4, False, 2)
+    @example(np.float32, 3, 5, 1, 4, True, 3)
+    @example(np.float64, 3, 5, 3, 1, True, 4)
+    def test_byte_identical_to_op_by_op_oracle(self, dtype, batch, n_steps, d, hidden, dropout, seed):
+        rng = np.random.default_rng(seed)
+        cells = nn.GRUCell(d, hidden, rng, dtype, name="fwd"), nn.GRUCell(d, hidden, rng, dtype, name="bwd")
+        x = Parameter(rng.normal(size=(batch, n_steps, d)).astype(dtype), name="x")
+        lengths = rng.integers(0, n_steps + 1, size=batch)
+        masks = [nn.dropout_mask(rng, (batch, hidden), 0.4, dtype) for _ in range(2)] if dropout else []
+        weight = rng.normal(size=(batch, n_steps, 2 * hidden)).astype(dtype)
+        fused = verify.bigru_arrays(nn.bigru_forward, cells, x, lengths, masks, weight)
+        oracle = verify.bigru_arrays(verify.bigru_oracle, cells, x, lengths, masks, weight)
+        assert len(fused) == 2 * 9 + 2
+        for produced, expected in zip(fused, oracle):
+            assert produced.dtype == expected.dtype
+            assert produced.tobytes() == expected.tobytes()
+
+    def test_one_record_per_direction_and_one_concat(self):
+        rng = np.random.default_rng(40)
+        fwd, bwd = nn.GRUCell(3, 4, rng, np.float32), nn.GRUCell(3, 4, rng, np.float32)
+        emb = Parameter(rng.normal(size=(2, 7, 3)).astype(np.float32), name="emb")
+        masks = [nn.dropout_mask(rng, (2, 4), 0.5, np.float32) for _ in range(2)]
+        with Tape() as tape:
+            nn.bigru_forward(fwd, bwd, emb, np.array([7, 3]), *masks)
+        assert len(tape) == 3
+
+    def test_fused_check_catches_a_corrupted_bptt_alone(self, monkeypatch):
+        # The oracle is left intact: only the fused adjoint's carried gradient is scaled.
+        assert verify.check_fused_gru().passed
+        monkeypatch.setattr(nm, "_gru_step_adjoint", verify.scaled_carry(nm._gru_step_adjoint))
+        assert not verify.check_fused_gru().passed
 
 
 class TestPooling:
