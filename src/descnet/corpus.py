@@ -247,10 +247,10 @@ def load_dataset(path, format: str, label_space: LabelSpace) -> list[Document]:
                     raise DataError(f"{path}: line {lineno}: invalid JSON ({e.msg})") from None
                 if not isinstance(obj, dict) or "text" not in obj or "labels" not in obj:
                     raise DataError(f"{path}: line {lineno}: expected object with 'text' and 'labels'")
-                if not isinstance(obj["labels"], list):
-                    raise DataError(f"{path}: line {lineno}: 'labels' must be a list")
+                if not isinstance(obj["text"], str) or not isinstance(obj["labels"], list):
+                    raise DataError(f"{path}: line {lineno}: 'text' must be a string and 'labels' a list")
                 try:
-                    docs.append(make_document(len(docs), str(obj["text"]), obj["labels"], label_space))
+                    docs.append(make_document(len(docs), obj["text"], obj["labels"], label_space))
                 except DataError as e:
                     raise DataError(f"{path}: line {lineno}: {e}") from None
     if not docs:

@@ -22,7 +22,7 @@ from .metrics import label_matrix
 
 TESTS = ("chi2", "anova")
 
-_HEADER_RE = re.compile(r"^#test=(chi2|anova) n=(\d+)$")
+_HEADER_RE = re.compile(rf"^#test=({'|'.join(TESTS)}) n=(\d+)$")
 
 
 @dataclass
@@ -180,14 +180,11 @@ class ClassDescriptorSet:
     dimension: int
     class_names: tuple[str, ...]
     entries: list[list[tuple[str, float]]]
-    union_vocabulary: frozenset[str]
 
-
-def _make_descriptor_set(
-    test: str, n: int, class_names: tuple[str, ...], entries: list[list[tuple[str, float]]]
-) -> ClassDescriptorSet:
-    union = frozenset(tok for class_entries in entries for tok, _ in class_entries)
-    return ClassDescriptorSet(test, n, tuple(class_names), entries, union)
+    @cached_property
+    def union_vocabulary(self) -> frozenset[str]:
+        """Every token on any class's list."""
+        return frozenset(tok for class_entries in self.entries for tok, _ in class_entries)
 
 
 def extract_descriptors(
@@ -216,14 +213,14 @@ def extract_descriptors(
     for class_scores in scores:
         top = np.lexsort((columns, -df, -class_scores))[:n]
         entries.append(list(zip([stats.tokens[j] for j in columns[top].tolist()], class_scores[top].tolist())))
-    return _make_descriptor_set(test, n, labels.names, entries)
+    return ClassDescriptorSet(test, n, labels.names, entries)
 
 
 def build_descriptor_channel_input(
     tokens: list[str], descriptors: ClassDescriptorSet, vocab: Vocabulary, max_len: int
 ) -> np.ndarray:
     """Keep only descriptor-vocabulary tokens (order and duplicates kept), encode."""
-    kept = [tok for tok in tokens if tok in descriptors.union_vocabulary]
+    kept = list(filter(descriptors.union_vocabulary.__contains__, tokens))
     return encode(kept, vocab, max_len)
 
 
@@ -241,7 +238,7 @@ def load_descriptors(path) -> ClassDescriptorSet:
         header = fh.readline().rstrip("\n")
         match = _HEADER_RE.match(header)
         if not match:
-            raise DataError(f"{path}: line 1: expected '#test=<chi2|anova> n=<int>' header")
+            raise DataError(f"{path}: line 1: expected '#test=<{'|'.join(TESTS)}> n=<int>' header")
         test, n = match.group(1), int(match.group(2))
         class_names: list[str] = []
         entries: list[list[tuple[str, float]]] = []
@@ -265,4 +262,4 @@ def load_descriptors(path) -> ClassDescriptorSet:
             entries[-1].append((tok, score))
     if not class_names:
         raise DataError(f"{path}: no descriptor entries")
-    return _make_descriptor_set(test, n, tuple(class_names), entries)
+    return ClassDescriptorSet(test, n, tuple(class_names), entries)

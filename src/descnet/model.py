@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import metrics, nn
 from . import numerics as nm
-from .corpus import PAD_ID, Document, EncodedExample, LabelSpace, Vocabulary, encode, preprocess_text
+from .corpus import MODES, PAD_ID, Document, EncodedExample, LabelSpace, Vocabulary, encode, preprocess_text
 from .descriptors import TESTS, ClassDescriptorSet, build_descriptor_channel_input
 from .errors import ArtifactError, DataError
 from .numerics import NonFiniteError, Parameter, Tape, Tensor
@@ -48,7 +49,13 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("multi_class", "multi_label"):
+        kinds = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"), "str": (str, "a string")}
+        for f in fields(ModelConfig):
+            value = getattr(self, f.name)
+            kind, noun = kinds[f.type]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise DataError(f"{f.name} must be {noun}, got {value!r}")
+        if self.mode not in MODES:
             raise DataError(f"unknown mode {self.mode!r}")
         if self.descriptor_test not in TESTS:
             raise DataError(f"unknown descriptor test {self.descriptor_test!r}")
@@ -57,8 +64,8 @@ class ModelConfig:
                 raise DataError(f"{name} must be >= 1")
         if self.vocabulary_max < 3:
             raise DataError("vocabulary_max must be >= 3")
-        if self.descriptor_length < 0 or self.patience < 0:
-            raise DataError("descriptor_length and patience must be >= 0")
+        if min(self.descriptor_length, self.patience, self.seed) < 0:
+            raise DataError("descriptor_length, patience and seed must be >= 0")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise DataError("dropout_rate must be in [0, 1)")
         if not 0.0 < self.learning_rate < np.inf:
@@ -135,22 +142,24 @@ class DualChannelModel:
         embedded, so the BiGRUs do not step over columns that are padding in
         every row. The output does not depend on the padding width.
         """
-        cfg = self.config
         text_lengths = (text_ids != PAD_ID).sum(axis=1)
         desc_lengths = (desc_ids != PAD_ID).sum(axis=1)
         masks = self._recurrent_masks(text_ids.shape[0], training, rng)
-
         emb_text = self._embed(self.embedding, text_ids, text_lengths, training, rng)
+        emb_desc = self._embed(self.embedding, desc_ids, desc_lengths, training, rng)
+        return self._from_embedded(emb_text, text_lengths, emb_desc, desc_lengths, masks, training, rng)
+
+    def _from_embedded(self, emb_text, text_lengths, emb_desc, desc_lengths, masks, training: bool, rng) -> Tensor:
+        """The network after the embedding: both BiGRUs, the pools, attention, feature dropout and the head."""
         hidden_text = nn.bigru_forward(self.text_fwd, self.text_bwd, emb_text, text_lengths, masks[0], masks[1])
         pooled_max = nn.max_pool_time(hidden_text, text_lengths)
         pooled_avg = nn.avg_pool_time(hidden_text, text_lengths)
 
-        emb_desc = self._embed(self.embedding, desc_ids, desc_lengths, training, rng)
         hidden_desc = nn.bigru_forward(self.desc_fwd, self.desc_bwd, emb_desc, desc_lengths, masks[2], masks[3])
         context, _ = nn.attention_forward(self.attention, hidden_desc, desc_lengths)
 
         features = nm.concat([pooled_max, pooled_avg, context], axis=1)
-        features = nn.dropout(features, cfg.dropout_rate, training, rng)
+        features = nn.dropout(features, self.config.dropout_rate, training, rng)
         return self.head.forward(features)
 
     def loss(self, probs: Tensor, targets: np.ndarray) -> Tensor:

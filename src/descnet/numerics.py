@@ -32,8 +32,6 @@ __all__ = [
     "clip",
     "concat",
     "gru_sequence",
-    "stack",
-    "select",
     "reshape",
     "embedding_gather",
     "max_over_axis",
@@ -305,37 +303,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
             _accum(t, g[tuple(sl)])
 
     return _emit(data, tuple(tensors), backward_fn)
-
-
-def stack(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    if not tensors:
-        raise ShapeError("stack: empty input list")
-    shapes = {t.shape for t in tensors}
-    dtypes = {t.data.dtype for t in tensors}
-    if len(shapes) != 1 or len(dtypes) != 1:
-        raise ShapeError(f"stack: inputs must agree, got shapes {sorted(shapes)}")
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward_fn(g):
-        for i, t in enumerate(tensors):
-            _accum(t, np.take(g, i, axis=axis))
-
-    return _emit(data, tuple(tensors), backward_fn)
-
-
-def select(a: Tensor, axis: int, index: int) -> Tensor:
-    """Slice out ``index`` along ``axis``, dropping that axis."""
-    if not 0 <= index < a.shape[axis]:
-        raise ShapeError(f"select: index {index} out of range for shape {a.shape} axis {axis}")
-    data = np.take(a.data, index, axis=axis)
-
-    def backward_fn(g):
-        if a.needs_grad:
-            sl = [slice(None)] * a.data.ndim
-            sl[axis] = index
-            _grad(a)[tuple(sl)] += g
-
-    return _emit(data, (a,), backward_fn)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:

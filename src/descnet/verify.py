@@ -37,8 +37,8 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# Oracles: deliberately written from the textbook definitions, not shared
-# with the implementations they check.
+# Oracles: written from the textbook definitions; the model-path oracles share
+# everything with production except the one decision each of them checks.
 # ---------------------------------------------------------------------------
 
 def chi2_oracle(a: int, b: int, c: int, d: int) -> float:
@@ -102,26 +102,13 @@ def auc_oracle(scores, labels) -> float:
 
 
 def padded_forward(model: DualChannelModel, text_ids, desc_ids, training: bool = False, rng=None) -> Tensor:
-    """``DualChannelModel.forward`` without the trim: both BiGRUs run over the full padded width."""
-    cfg = model.config
+    """``DualChannelModel.forward`` without the trim: both channels are embedded, and the BiGRUs run, at the full padded width."""
     text_lengths = (np.asarray(text_ids) != PAD_ID).sum(axis=1)
     desc_lengths = (np.asarray(desc_ids) != PAD_ID).sum(axis=1)
     masks = model._recurrent_masks(text_ids.shape[0], training, rng)
-
-    emb_text = model.embedding.forward(text_ids)
-    emb_text = nn.dropout(emb_text, cfg.dropout_rate, training, rng)
-    hidden_text = nn.bigru_forward(model.text_fwd, model.text_bwd, emb_text, text_lengths, masks[0], masks[1])
-    pooled_max = nn.max_pool_time(hidden_text, text_lengths)
-    pooled_avg = nn.avg_pool_time(hidden_text, text_lengths)
-
-    emb_desc = model.embedding.forward(desc_ids)
-    emb_desc = nn.dropout(emb_desc, cfg.dropout_rate, training, rng)
-    hidden_desc = nn.bigru_forward(model.desc_fwd, model.desc_bwd, emb_desc, desc_lengths, masks[2], masks[3])
-    context, _ = nn.attention_forward(model.attention, hidden_desc, desc_lengths)
-
-    features = nm.concat([pooled_max, pooled_avg, context], axis=1)
-    features = nn.dropout(features, cfg.dropout_rate, training, rng)
-    return model.head.forward(features)
+    emb_text = nn.dropout(model.embedding.forward(text_ids), model.config.dropout_rate, training, rng)
+    emb_desc = nn.dropout(model.embedding.forward(desc_ids), model.config.dropout_rate, training, rng)
+    return model._from_embedded(emb_text, text_lengths, emb_desc, desc_lengths, masks, training, rng)
 
 
 def gru_input_projections(cell: nn.GRUCell, x_seq: Tensor) -> tuple[Tensor, Tensor, Tensor]:
@@ -163,14 +150,17 @@ def bigru_oracle(
         (forward_cell, False, forward_recurrent_mask),
         (backward_cell, True, backward_recurrent_mask),
     ):
-        xz, xr, xh = gru_input_projections(cell, embedded)
-        h = Tensor(np.zeros((batch, cell.hidden_size), dtype=embedded.data.dtype))
+        hidden = cell.hidden_size
+        flat = [nm.reshape(p, (batch * n_steps, hidden)) for p in gru_input_projections(cell, embedded)]
+        h = Tensor(np.zeros((batch, hidden), dtype=embedded.data.dtype))
         outputs: list[Tensor | None] = [None] * n_steps
         for t in range(n_steps - 1, -1, -1) if reverse else range(n_steps):
-            h_new = gru_step(cell, nm.select(xz, 1, t), nm.select(xr, 1, t), nm.select(xh, 1, t), h, recurrent_mask)
+            rows = np.arange(batch) * n_steps + t
+            h_new = gru_step(cell, *(nm.embedding_gather(p, rows) for p in flat), h, recurrent_mask)
             # Padded steps emit zeros and reset the state.
             h = outputs[t] = nm.mul(h_new, step_mask[:, t : t + 1])
-        directions.append(nm.stack(outputs, axis=1))
+        # Reshaped after the loop: a state's output gradient then arrives before the next step's, as in the fused adjoint.
+        directions.append(nm.concat([nm.reshape(h_t, (batch, 1, hidden)) for h_t in outputs], axis=1))
     return nm.concat(directions, axis=2)
 
 
@@ -305,8 +295,6 @@ def _primitive_cases(rng: np.random.Generator):
         ("log", lambda: total(nm.log(nm.add(nm.mul(a, a), 1.0))), [a]),
         ("clip", lambda: total(nm.clip(a, -0.5, 0.5)), [a]),
         ("concat", lambda: total(nm.tanh(nm.concat([a, b], axis=1))), [a, b]),
-        ("stack", lambda: total(nm.tanh(nm.stack([a, b], axis=0))), [a, b]),
-        ("select", lambda: total(nm.tanh(nm.select(a, 0, 2))), [a]),
         ("reshape", lambda: total(nm.tanh(nm.reshape(a, (2, 6)))), [a]),
         ("embedding_gather", lambda: total(nm.tanh(nm.embedding_gather(table, ids))), [table]),
         ("max_over_axis", lambda: total(nm.max_over_axis(nm.mul(a, a), axis=1)), [a]),

@@ -486,21 +486,31 @@ def unhashed_bundle(trained, directory, mode="multi_class"):
     return directory / "checkpoint.bin"
 
 
+def rewritten_header(trained, path, edit):
+    """The trained checkpoint copied to ``path`` with ``edit(header)`` applied to its JSON header."""
+    _, _, out = trained
+    data = (out / "checkpoint.bin").read_bytes()
+    (header_len,) = struct.unpack("<Q", data[8:16])
+    header = json.loads(data[16 : 16 + header_len])
+    edit(header)
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(data[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes + data[16 + header_len :])
+    return path
+
+
+def predict_with(trained, checkpoint) -> int:
+    """Exit code of ``descnet predict`` with ``checkpoint`` and the trained bundle's vocabulary and descriptors."""
+    _, _, out = trained
+    return main([
+        "predict", "--checkpoint-path", str(checkpoint), "--vocab-path", str(out / "vocab.tsv"),
+        "--descriptor-path", str(out / "descriptors.tsv"), "--text", "markera",
+    ])
+
+
 class TestBundleMismatch:
     def test_header_vocab_size_zero_exit_4(self, trained, tmp_path, capsys):
-        _, _, out = trained
-        data = (out / "checkpoint.bin").read_bytes()
-        (header_len,) = struct.unpack("<Q", data[8:16])
-        header = json.loads(data[16 : 16 + header_len])
-        header["vocab_size"] = 0
-        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-        bad = tmp_path / "checkpoint.bin"
-        bad.write_bytes(data[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes + data[16 + header_len :])
-        code = main([
-            "predict", "--checkpoint-path", str(bad), "--vocab-path", str(out / "vocab.tsv"),
-            "--descriptor-path", str(out / "descriptors.tsv"), "--text", "markera",
-        ])
-        assert code == 4
+        bad = rewritten_header(trained, tmp_path / "checkpoint.bin", lambda header: header.update(vocab_size=0))
+        assert predict_with(trained, bad) == 4
         assert f"{bad}: bad checkpoint header" in capsys.readouterr().err
 
     def test_vocabulary_length_differs_without_hashes_exit_4(self, trained, tmp_path, capsys):
@@ -515,12 +525,11 @@ class TestBundleMismatch:
 
 
 class TestCheckpointValues:
-    def predict(self, trained, checkpoint):
-        _, _, out = trained
-        return main([
-            "predict", "--checkpoint-path", str(checkpoint), "--vocab-path", str(out / "vocab.tsv"),
-            "--descriptor-path", str(out / "descriptors.tsv"), "--text", "markera",
-        ])
+    @pytest.mark.parametrize("value", [8.0, True])
+    def test_config_text_length_not_an_integer_exit_4(self, trained, tmp_path, capsys, value):
+        bad = rewritten_header(trained, tmp_path / "checkpoint.bin", lambda header: header["config"].update(text_length=value))
+        assert predict_with(trained, bad) == 4
+        assert f"{bad}: bad checkpoint header (text_length must be an integer, got {value!r})" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameter_value_exit_4(self, trained, tmp_path, capsys, value):
@@ -529,7 +538,7 @@ class TestCheckpointValues:
         data[-4:] = np.array([value], dtype="<f4").tobytes()  # the last value of the last record, head.bias
         bad = tmp_path / "checkpoint.bin"
         bad.write_bytes(bytes(data))
-        assert self.predict(trained, bad) == 4
+        assert predict_with(trained, bad) == 4
         assert f"{bad}: parameter 'head.bias' holds a non-finite value" in capsys.readouterr().err
 
     def test_separate_descriptor_table_from_older_version_exit_4(self, trained, tmp_path, capsys):
@@ -547,7 +556,7 @@ class TestCheckpointValues:
         records = struct.pack("<I", n_params + 1) + data[20 + header_len :] + record
         old = tmp_path / "checkpoint.bin"
         old.write_bytes(data[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes + records)
-        assert self.predict(trained, old) == 4
+        assert predict_with(trained, old) == 4
         assert f"{n_params + 1} parameter records, model expects {n_params}" in capsys.readouterr().err
 
 
@@ -608,6 +617,10 @@ class TestNumericOptions:
         for value in ("nan", "inf", "1.5", "-0.5"):
             assert self.run_train(tmp_path, "--threshold", value) == 2
             assert "threshold must be in [0, 1]" in capsys.readouterr().err
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        assert self.run_train(tmp_path, "--seed", "-1") == 2
+        assert "descriptor_length, patience and seed must be >= 0" in capsys.readouterr().err
 
     def test_learning_rate_not_finite_exit_2(self, tmp_path, capsys):
         for value in ("nan", "inf"):

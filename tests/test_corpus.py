@@ -224,6 +224,14 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="line 2"):
             load_dataset(path, "jsonl", space)
 
+    @pytest.mark.parametrize("text", ["null", "42", "true", '["a b"]', '{"a": "b"}'])
+    def test_jsonl_non_string_text_rejected(self, tmp_path, text):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"text": "ok", "labels": ["x"]}\n{"text": %s, "labels": ["x"]}\n' % text)
+        space = LabelSpace(("x",), "multi_label")
+        with pytest.raises(DataError, match="line 2: 'text' must be a string"):
+            load_dataset(path, "jsonl", space)
+
     def test_multi_class_requires_exactly_one_label(self):
         space = LabelSpace(("x", "y"), "multi_class")
         with pytest.raises(DataError, match="exactly one"):

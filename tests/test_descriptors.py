@@ -295,7 +295,7 @@ class TestExtractDescriptors:
 class TestDescriptorChannelInput:
     def make_set(self, union, vocab):
         entries = [[(tok, 1.0) for tok in sorted(union)]]
-        return ClassDescriptorSet("chi2", len(union), ("A",), entries, frozenset(union))
+        return ClassDescriptorSet("chi2", len(union), ("A",), entries)
 
     def test_filter_then_encode(self):
         labels = LabelSpace(("A",), "multi_class")
@@ -327,7 +327,7 @@ class TestDescriptorChannelInput:
         labels = LabelSpace(("A",), "multi_class")
         docs = make_docs([("a b c d e f", [0])], labels)
         vocab = build_vocabulary(docs, max_size=20)
-        dset = self.make_set(union, vocab) if union else ClassDescriptorSet("chi2", 1, ("A",), [[]], frozenset())
+        dset = self.make_set(union, vocab) if union else ClassDescriptorSet("chi2", 1, ("A",), [[]])
         out = build_descriptor_channel_input(tokens, dset, vocab, 20)
         text_ids = [vocab.id_of(t) for t in tokens]
         filtered = [i for i in out.tolist() if i != 0]
@@ -345,8 +345,7 @@ class TestSerialization:
             rows.sort(key=lambda r: -r[1])
             entries.append(rows)
         entries[0][0] = (entries[0][0][0], math.inf)  # exercise the sentinel
-        union = frozenset(t for e in entries for t, _ in e)
-        return ClassDescriptorSet("anova", 5, names, entries, union)
+        return ClassDescriptorSet("anova", 5, names, entries)
 
     def test_round_trip_structure(self, tmp_path):
         dset = self.random_set()

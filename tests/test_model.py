@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -43,6 +44,16 @@ def tiny_config(mode="multi_class", **overrides):
     )
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit(header)`` to the JSON header of the checkpoint at ``path``, in place."""
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
+    edit(header)
+    new_header = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(new_header)) + new_header + raw[16 + header_len :])
 
 
 def tiny_setup(mode="multi_class", n_docs=60, n_classes=3, seed=0, **overrides):
@@ -354,13 +365,8 @@ class TestCheckpoint:
         model, *_ = tiny_setup()
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path, ["a", "b", "c"])
-        raw = path.read_bytes()
-        (header_len,) = struct.unpack("<Q", raw[8:16])
-        header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
-        header["vocab_size"] += 7  # model now expects a bigger embedding table
-        new_header = json.dumps(header, sort_keys=True).encode("utf-8")
-        tampered = raw[:8] + struct.pack("<Q", len(new_header)) + new_header + raw[16 + header_len :]
-        path.write_bytes(tampered)
+        # the model now expects a bigger embedding table
+        rewrite_header(path, lambda header: header.update(vocab_size=header["vocab_size"] + 7))
         with pytest.raises(ArtifactError, match="embedding.table"):
             load_checkpoint(path)
 
@@ -369,15 +375,32 @@ class TestCheckpoint:
         train(model, examples[:40], examples[40:])
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path, ["a", "b", "c"])
-        raw = path.read_bytes()
-        (header_len,) = struct.unpack("<Q", raw[8:16])
-        header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
-        header["config"].update(optimizer="adam", share_embedding=True, recurrent_dropout_rate=0.0)  # as older versions wrote it
-        new_header = json.dumps(header, sort_keys=True).encode("utf-8")
-        path.write_bytes(raw[:8] + struct.pack("<Q", len(new_header)) + new_header + raw[16 + header_len :])
+        # as older versions wrote it
+        rewrite_header(path, lambda header: header["config"].update(optimizer="adam", share_embedding=True, recurrent_dropout_rate=0.0))
         loaded, _ = load_checkpoint(path)
         original = predict_probabilities(model, examples[:10])
         np.testing.assert_array_equal(original, predict_probabilities(loaded, examples[:10]))
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("text_length", 8.0, "an integer"),
+        ("text_length", True, "an integer"),
+        ("text_length", "8", "an integer"),
+        ("gru_units", None, "an integer"),
+        ("dropout_rate", True, "a number"),
+        ("dropout_rate", "0.5", "a number"),
+        ("mode", 1, "a string"),
+        ("descriptor_test", ["chi2"], "a string"),
+    ])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, key, value, kind):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(DualChannelModel(tiny_config(), 50, 3), path, ["a", "b", "c"])
+        rewrite_header(path, lambda header: header["config"].update({key: value}))
+        with pytest.raises(ArtifactError, match=re.escape(f"bad checkpoint header ({key} must be {kind}, got {value!r})")):
+            load_checkpoint(path)
+
+    def test_config_takes_numpy_integers_and_integer_floats(self):
+        config = tiny_config(text_length=np.int64(7), learning_rate=1, dropout_rate=np.float32(0.25))
+        assert config.text_length == 7 and config.learning_rate == 1
 
     def test_trailing_bytes_rejected(self, tmp_path):
         model, *_ = tiny_setup()

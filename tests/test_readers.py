@@ -7,6 +7,9 @@ the file truncated, a field dropped or duplicated, invalid UTF-8, a NUL or a
 exception would end a command in a traceback.
 """
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,6 +23,7 @@ from descnet.errors import ArtifactError, DataError
 from descnet.model import DualChannelModel, ModelConfig, load_checkpoint, save_checkpoint
 from descnet.synth import marker_corpus
 
+NON_STRINGS = [b"null", b"42", b"-1.5", b"true", b'["w"]', b'{"w": "x"}']
 INSERTS = [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x00", b"nan", b"inf", b"-", b"\n", b"\t", b",", b'"', b"="]
 
 FUZZ = settings(
@@ -31,13 +35,16 @@ FUZZ = settings(
 
 
 @st.composite
-def mutations(draw):
+def mutations(draw, kinds=("flip", "truncate", "drop", "duplicate", "insert")):
     """One to three edits, each a function of (bytes, separator) -> bytes."""
     edits = []
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["flip", "truncate", "drop", "duplicate", "insert"]))
+        kind = draw(st.sampled_from(kinds))
         fraction = draw(st.floats(0.0, 1.0))
-        if kind == "flip":
+        if kind == "retype":
+            value = draw(st.sampled_from(NON_STRINGS))
+            edits.append(lambda data, sep, f=fraction, v=value: _retype_text(data, f, v))
+        elif kind == "flip":
             mask = draw(st.integers(1, 255))
             edits.append(lambda data, sep, f=fraction, m=mask: _flip(data, f, m))
         elif kind == "truncate":
@@ -56,6 +63,14 @@ def _flip(data: bytes, fraction: float, mask: int) -> bytes:
         return data
     i = min(int(len(data) * fraction), len(data) - 1)
     return data[:i] + bytes([data[i] ^ mask]) + data[i + 1 :]
+
+
+def _retype_text(data: bytes, line_fraction: float, value: bytes) -> bytes:
+    """One JSONL line with its ``"text"`` string replaced by ``value``."""
+    lines = data.split(b"\n")
+    i = min(int(len(lines) * line_fraction), len(lines) - 1)
+    lines[i] = re.sub(rb'"text": "[^"]*"', lambda _: b'"text": ' + value, lines[i], count=1)
+    return b"\n".join(lines)
 
 
 def _edit_field(data: bytes, sep: bytes, line_fraction: float, field_fraction: float, kind: str) -> bytes:
@@ -106,13 +121,13 @@ def artifacts(tmp_path_factory):
     return root, labels, vocab
 
 
-def fuzz_reader(artifacts, tmp_path, name, sep, read):
+def fuzz_reader(artifacts, tmp_path, name, sep, read, strategy=mutations()):
     valid = (artifacts[0] / name).read_bytes()
     path = tmp_path / name
     read(artifacts[0] / name)  # the unmutated file reads cleanly
 
     @FUZZ
-    @given(mutations())
+    @given(strategy)
     def check(edits):
         path.write_bytes(mutate(valid, sep, edits))
         survives(lambda: read(path))
@@ -126,7 +141,15 @@ def test_dataset_csv(artifacts, tmp_path):
 
 
 def test_dataset_jsonl(artifacts, tmp_path):
-    fuzz_reader(artifacts, tmp_path, "data.jsonl", b",", lambda p: load_dataset(p, "jsonl", artifacts[1]))
+    def read(path):
+        load_dataset(path, "jsonl", artifacts[1])
+        # a record whose text is not a JSON string fails; it is never read as words
+        lines = path.read_text(encoding="utf-8").split("\n")
+        records = [json.loads(line.strip()) for line in lines if line.strip()]
+        assert all(isinstance(record["text"], str) for record in records)
+
+    kinds = ("flip", "truncate", "drop", "duplicate", "insert", "retype")
+    fuzz_reader(artifacts, tmp_path, "data.jsonl", b",", read, mutations(kinds))
 
 
 def test_vocabulary(artifacts, tmp_path):
