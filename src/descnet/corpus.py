@@ -202,7 +202,8 @@ def load_vocabulary(path) -> Vocabulary:
     return Vocabulary(token_to_id, id_to_token, doc_frequency)
 
 
-def _parse_label_cell(cell: str, mode: str) -> list[str]:
+def parse_label_cell(cell: str, mode: str) -> list[str]:
+    """The label names of one dataset cell; a multi-label cell joins them with '|'."""
     if mode == "multi_label":
         return [part for part in cell.split("|") if part]
     return [cell]
@@ -229,7 +230,7 @@ def load_dataset(path, format: str, label_space: LabelSpace) -> list[Document]:
                     text, cell = row
                     try:
                         docs.append(
-                            make_document(len(docs), text, _parse_label_cell(cell, label_space.mode), label_space)
+                            make_document(len(docs), text, parse_label_cell(cell, label_space.mode), label_space)
                         )
                     except DataError as e:
                         raise DataError(f"{path}: line {reader.line_num}: {e}") from None

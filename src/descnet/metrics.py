@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -170,7 +170,7 @@ class EvaluationReport:
     """Everything the evaluate command emits, in one structure."""
 
     mode: str
-    label_names: list[str]
+    labels: list[str]
     n_examples: int
     per_class: list[dict] = field(default_factory=list)
     macro: dict = field(default_factory=dict)
@@ -201,19 +201,7 @@ class EvaluationReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        payload = {
-            "mode": self.mode,
-            "labels": self.label_names,
-            "n_examples": self.n_examples,
-            "per_class": self.per_class,
-            "macro": self.macro,
-            "micro": self.micro,
-            "weighted": self.weighted,
-            "accuracy": self.accuracy,
-            "macro_auc": self.macro_auc,
-            "threshold": self.threshold,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def build_report(
@@ -227,7 +215,7 @@ def build_report(
     n_classes = len(label_names)
     predicted, gold = label_matrix(predicted, n_classes), label_matrix(gold, n_classes)
     prf = precision_recall_f1(predicted, gold, n_classes)
-    report = EvaluationReport(mode=mode, label_names=list(label_names), n_examples=len(gold))
+    report = EvaluationReport(mode=mode, labels=list(label_names), n_examples=len(gold))
     for name, agg in (("macro", prf.macro), ("micro", prf.micro), ("weighted", prf.weighted)):
         setattr(report, name, {"precision": agg[0], "recall": agg[1], "f1": agg[2]})
 

@@ -123,7 +123,7 @@ class DualChannelModel:
         for p in self.parameters():
             p.zero_grad()
 
-    def _recurrent_masks(self, batch: int, training: bool, rng) -> list[Tensor | None]:
+    def _recurrent_masks(self, batch: int, training: bool, rng) -> list[np.ndarray | None]:
         rate = self.config.dropout_rate
         if not training or rate == 0.0:
             return [None] * 4
@@ -385,12 +385,17 @@ def load_checkpoint(path) -> tuple[DualChannelModel, CheckpointMeta]:
             config = ModelConfig(**{k: v for k, v in dict(header["config"]).items() if k not in LEGACY_CONFIG_KEYS})
             vocab_size, n_classes = int(header["vocab_size"]), int(header["n_classes"])
             meta = CheckpointMeta(
-                label_names=list(header["label_names"]),
+                label_names=header["label_names"],
                 vocab_sha256=header["vocab_sha256"],
                 descriptor_sha256=header["descriptor_sha256"],
                 epoch=int(header["epoch"]),
                 val_metric=float(header["val_metric"]),
             )
+            names = meta.label_names
+            if not (isinstance(names, list) and all(isinstance(n, str) for n in names) and len(set(names)) == len(names)):
+                raise ValueError(f"label_names must be a list of distinct strings, got {names!r}")
+            if not (isinstance(meta.vocab_sha256, str) and isinstance(meta.descriptor_sha256, str)):
+                raise ValueError("vocab_sha256 and descriptor_sha256 must be strings")
             if min(vocab_size, n_classes) < 1 or len(meta.label_names) != n_classes:
                 raise ValueError(f"vocab_size {vocab_size}, n_classes {n_classes}, {len(meta.label_names)} label names")
             # The embedding table, one recurrent matrix and part of the head hold at

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import numerics as nm
-from .corpus import open_text
+from .corpus import PAD_ID, open_text
 from .errors import DataError
 from .numerics import Parameter, Tensor
 
@@ -29,26 +29,23 @@ def _valid_mask(lengths: np.ndarray, n_steps: int, dtype) -> np.ndarray:
     return (np.arange(n_steps)[None, :] < lengths[:, None]).astype(dtype)
 
 
+def _padding_shield(lengths: np.ndarray, n_steps: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(batch, n_steps) scores to add, -_MASK_NEG at padded positions, and the (batch, 1) mask of non-empty rows."""
+    shield = ((1.0 - _valid_mask(lengths, n_steps, dtype)) * -_MASK_NEG).astype(dtype)
+    return shield, (np.asarray(lengths)[:, None] > 0).astype(dtype)
+
+
 class EmbeddingLayer:
     """Token-id lookup table; the padding row stays zero and gets no gradient."""
 
-    def __init__(
-        self,
-        vocab_size: int,
-        dim: int,
-        rng: np.random.Generator,
-        dtype=np.float32,
-        padding_id: int = 0,
-        name: str = "embedding",
-    ):
+    def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator, dtype=np.float32, name: str = "embedding"):
         table = rng.uniform(-0.05, 0.05, size=(vocab_size, dim)).astype(dtype)
-        table[padding_id] = 0.0
+        table[PAD_ID] = 0.0
         self.table = Parameter(table, name=f"{name}.table")
-        self.padding_id = padding_id
         self.dim = dim
 
     def forward(self, ids: np.ndarray) -> Tensor:
-        return nm.embedding_gather(self.table, ids, padding_id=self.padding_id)
+        return nm.embedding_gather(self.table, ids, padding_id=PAD_ID)
 
     def parameters(self) -> list[Parameter]:
         return [self.table]
@@ -79,7 +76,7 @@ def load_pretrained_embeddings(layer: EmbeddingLayer, path, token_to_id: dict[st
                     f"{path}: line {lineno}: {len(values)}-dimensional vector, expected {layer.dim}"
                 )
             idx = token_to_id.get(tok)
-            if idx is None or idx == layer.padding_id:
+            if idx is None or idx == PAD_ID:
                 continue
             try:
                 vector = np.array([float(v) for v in values])
@@ -125,8 +122,8 @@ def bigru_forward(
     backward_cell: GRUCell,
     embedded: Tensor,
     lengths: np.ndarray,
-    forward_recurrent_mask: Tensor | None = None,
-    backward_recurrent_mask: Tensor | None = None,
+    forward_recurrent_mask: np.ndarray | None = None,
+    backward_recurrent_mask: np.ndarray | None = None,
 ) -> Tensor:
     """Run both directions over the valid prefix; concat per-timestep states.
 
@@ -141,12 +138,8 @@ def bigru_forward(
 
 def max_pool_time(hidden: Tensor, lengths: np.ndarray) -> Tensor:
     """Per-feature max over valid timesteps; zero vector for empty sequences."""
-    dtype = hidden.data.dtype
-    mask = _valid_mask(lengths, hidden.shape[1], dtype)
-    shield = ((1.0 - mask) * -_MASK_NEG)[:, :, None].astype(dtype)
-    pooled = nm.max_over_axis(nm.add(hidden, shield), axis=1)
-    nonempty = (np.asarray(lengths)[:, None] > 0).astype(dtype)
-    return nm.mul(pooled, nonempty)
+    shield, nonempty = _padding_shield(lengths, hidden.shape[1], hidden.data.dtype)
+    return nm.mul(nm.max_over_axis(nm.add(hidden, shield[:, :, None]), axis=1), nonempty)
 
 
 def avg_pool_time(hidden: Tensor, lengths: np.ndarray) -> Tensor:
@@ -184,14 +177,12 @@ def attention_forward(layer: AttentionLayer, hidden: Tensor, lengths: np.ndarray
     Padded positions are excluded from the softmax; an all-padding sequence
     yields a zero context vector.
     """
-    dtype = hidden.data.dtype
     batch, n_steps = hidden.shape[0], hidden.shape[1]
     u = nm.tanh(nm.add(nm.matmul(hidden, layer.proj), layer.bias))
     scores = nm.sum_over_axis(nm.mul(u, layer.context), axis=2)
-    shield = ((1.0 - _valid_mask(lengths, n_steps, dtype)) * -_MASK_NEG).astype(dtype)
+    shield, nonempty = _padding_shield(lengths, n_steps, hidden.data.dtype)
     weights = nm.softmax(nm.add(scores, shield), axis=1)
     context = nm.sum_over_axis(nm.mul(hidden, nm.reshape(weights, (batch, n_steps, 1))), axis=1)
-    nonempty = (np.asarray(lengths)[:, None] > 0).astype(dtype)
     return nm.mul(context, nonempty), weights
 
 
@@ -225,7 +216,7 @@ def dropout(
     """Inverted dropout: zero at ``rate``, scale survivors by 1/(1-rate).
 
     ``draw_shape``, when given, is a shape at least as large as ``x`` per
-    axis: the uniforms are drawn at that shape and cut down to ``x``'s
+    axis: the mask is drawn at that shape and cut down to ``x``'s
     leading corner, so a trimmed input consumes the same random numbers as
     the untrimmed one.
     """
@@ -235,14 +226,13 @@ def dropout(
         return x
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
-    uniforms = rng.random(x.shape if draw_shape is None else draw_shape)[tuple(slice(n) for n in x.shape)]
-    keep = (uniforms >= rate).astype(x.data.dtype) / (1.0 - rate)
-    return nm.mul(x, keep)
+    keep = dropout_mask(rng, x.shape if draw_shape is None else draw_shape, rate, x.data.dtype)
+    return nm.mul(x, keep[tuple(slice(n) for n in x.shape)])
 
 
-def dropout_mask(rng: np.random.Generator, shape, rate: float, dtype) -> Tensor:
-    """Fixed inverted-dropout mask, reused across the timesteps of a sequence."""
-    return Tensor(((rng.random(shape) >= rate) / (1.0 - rate)).astype(dtype))
+def dropout_mask(rng: np.random.Generator, shape, rate: float, dtype) -> np.ndarray:
+    """Inverted-dropout mask: 0 at ``rate`` and 1/(1-rate) elsewhere; a recurrent mask is reused across timesteps."""
+    return (rng.random(shape) >= rate).astype(dtype) / (1.0 - rate)
 
 
 def _check_targets(probs: Tensor, targets: np.ndarray, one_hot: bool) -> np.ndarray:

@@ -363,7 +363,7 @@ def gru_sequence(
     weights: Sequence[Parameter],
     step_mask: np.ndarray,
     reverse: bool,
-    recurrent_mask: Tensor | None = None,
+    recurrent_mask: np.ndarray | None = None,
 ) -> Tensor:
     """One GRU direction over time as a single tape record: states of shape (batch, steps, hidden).
 
@@ -389,7 +389,6 @@ def gru_sequence(
     xz = x.data @ W_z.data + b_z.data
     xr = x.data @ W_r.data + b_r.data
     xh = x.data @ W_h.data + b_h.data
-    drop = None if recurrent_mask is None else recurrent_mask.data
     n_steps = x.shape[1]
     order = range(n_steps - 1, -1, -1) if reverse else range(n_steps)
     recording = _active_tape() is not None
@@ -397,7 +396,7 @@ def gru_sequence(
     states: list[np.ndarray | None] = [None] * n_steps
     saved = []
     for t in order:
-        h_rec = h if drop is None else h * drop
+        h_rec = h if recurrent_mask is None else h * recurrent_mask
         z = _logistic(xz[:, t] + h_rec @ U_z.data)
         r = _logistic(xr[:, t] + h_rec @ U_r.data)
         rh = r * h_rec
@@ -416,7 +415,7 @@ def gru_sequence(
             t = order[i]
             g_out_prev = g[:, order[i - 1]] if i > 0 else None
             g_a_z, g_a_r, g_a_h, g_state = _gru_step_adjoint(
-                g_state * step_mask[:, t : t + 1], g_out_prev, saved[i], drop, U_z.data, U_r.data, U_h.data
+                g_state * step_mask[:, t : t + 1], g_out_prev, saved[i], recurrent_mask, U_z.data, U_r.data, U_h.data
             )
             _, h_rec, _, _, rh, _, _ = saved[i]
             grad_U_h += rh.T @ g_a_h

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import Document, LabelSpace, make_document
+from .corpus import Document, LabelSpace, make_document, parse_label_cell
 
 
 def marker_corpus(
@@ -106,11 +106,7 @@ def news_like_corpus(
 
 
 def to_documents(rows: list[tuple[str, str]], label_space: LabelSpace) -> list[Document]:
-    docs = []
-    for i, (text, cell) in enumerate(rows):
-        names = [part for part in cell.split("|") if part]
-        docs.append(make_document(i, text, names, label_space))
-    return docs
+    return [make_document(i, text, parse_label_cell(cell, label_space.mode), label_space) for i, (text, cell) in enumerate(rows)]
 
 
 def write_csv(rows: list[tuple[str, str]], path) -> None:

@@ -120,7 +120,7 @@ def gru_input_projections(cell: nn.GRUCell, x_seq: Tensor) -> tuple[Tensor, Tens
     )
 
 
-def gru_step(cell: nn.GRUCell, xz_t: Tensor, xr_t: Tensor, xh_t: Tensor, h_prev: Tensor, recurrent_mask: Tensor | None = None) -> Tensor:
+def gru_step(cell: nn.GRUCell, xz_t: Tensor, xr_t: Tensor, xh_t: Tensor, h_prev: Tensor, recurrent_mask: np.ndarray | None = None) -> Tensor:
     """One recurrence step from precomputed input projections, one tape record per operation.
 
     ``recurrent_mask`` is the per-sequence dropout mask on the recurrent
@@ -139,8 +139,8 @@ def bigru_oracle(
     backward_cell: nn.GRUCell,
     embedded: Tensor,
     lengths: np.ndarray,
-    forward_recurrent_mask: Tensor | None = None,
-    backward_recurrent_mask: Tensor | None = None,
+    forward_recurrent_mask: np.ndarray | None = None,
+    backward_recurrent_mask: np.ndarray | None = None,
 ) -> Tensor:
     """``nn.bigru_forward`` built op by op on the tape: the path ``nm.gru_sequence`` must match byte for byte."""
     step_mask = nn._valid_mask(lengths, embedded.shape[1], embedded.data.dtype)
@@ -206,53 +206,35 @@ def random_corpus(rng: np.random.Generator) -> tuple[list[Document], Vocabulary,
 # Checks
 # ---------------------------------------------------------------------------
 
-def check_chi2_equivalence(n_corpora: int = 1000, seed: int = 2024) -> CheckResult:
+def _score_check(name: str, test: str, errors, n_corpora: int, seed: int, min_docs: int = 0) -> CheckResult:
+    """Every token-class ``test`` score on ``n_corpora`` random corpora, judged by ``errors(docs, token, class_idx, produced)``."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    comparisons = 0
+    worst, comparisons = 0.0, 0
     for _ in range(n_corpora):
         docs, vocab, labels = random_corpus(rng)
+        if len(docs) < min_docs:
+            continue
         stats = build_contingency(docs, vocab, labels)
-        for class_idx, scores in enumerate(score_tokens(stats, "chi2").tolist()):
+        for class_idx, scores in enumerate(score_tokens(stats, test).tolist()):
             for token, produced in zip(stats.tokens, scores):
-                expected = chi2_oracle(*presence_table(docs, token, class_idx))
-                worst = max(worst, relative_error(produced, expected))
+                worst = max(worst, *errors(docs, token, class_idx, produced))
                 comparisons += 1
-    return CheckResult(
-        "chi2 bulk kernel vs direct (O-E)^2/E oracle",
-        worst < 1e-9,
-        worst,
-        1e-9,
-        f"{comparisons} comparisons over {n_corpora} corpora",
-    )
+    return CheckResult(name, worst < 1e-9, worst, 1e-9, f"{comparisons} comparisons over {n_corpora} corpora")
+
+
+def check_chi2_equivalence(n_corpora: int = 1000, seed: int = 2024) -> CheckResult:
+    errors = lambda docs, token, class_idx, produced: [relative_error(produced, chi2_oracle(*presence_table(docs, token, class_idx)))]
+    return _score_check("chi2 bulk kernel vs direct (O-E)^2/E oracle", "chi2", errors, n_corpora, seed)
 
 
 def check_anova_equivalence(n_corpora: int = 1000, seed: int = 2025) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    comparisons = 0
-    for _ in range(n_corpora):
-        docs, vocab, labels = random_corpus(rng)
-        if len(docs) < 3:  # F needs at least one within-group degree of freedom
-            continue
-        stats = build_contingency(docs, vocab, labels)
-        for class_idx, scores in enumerate(score_tokens(stats, "anova").tolist()):
-            for token, produced in zip(stats.tokens, scores):
-                groups = anova_groups(docs, token, class_idx)
-                expected = anova_oracle(*groups)
-                worst = max(
-                    worst,
-                    relative_error(produced, expected),
-                    relative_error(anova_f_score(*groups), expected),
-                )
-                comparisons += 1
-    return CheckResult(
-        "anova F vs from-definition SSB/SSW oracle",
-        worst < 1e-9,
-        worst,
-        1e-9,
-        f"{comparisons} comparisons over {n_corpora} corpora",
-    )
+    def errors(docs, token, class_idx, produced):
+        groups = anova_groups(docs, token, class_idx)
+        expected = anova_oracle(*groups)
+        return relative_error(produced, expected), relative_error(anova_f_score(*groups), expected)
+
+    # F needs at least one within-group degree of freedom, so corpora of 2 documents are skipped.
+    return _score_check("anova F vs from-definition SSB/SSW oracle", "anova", errors, n_corpora, seed, min_docs=3)
 
 
 def check_worked_statistics() -> CheckResult:
@@ -302,14 +284,18 @@ def _primitive_cases(rng: np.random.Generator):
     ]
 
 
-def check_primitive_gradients(seed: int = 7) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def _gradient_check(name: str, cases) -> CheckResult:
+    """``grad_check`` over ``(case name, loss, parameters)`` cases; the detail names the first case with the largest error."""
     worst, worst_name = 0.0, ""
-    for name, f, params in _primitive_cases(rng):
+    for case, f, params in cases:
         err = grad_check(f, params)
         if err > worst:
-            worst, worst_name = err, name
-    return CheckResult("primitive op gradients vs central differences", worst < 1e-6, worst, 1e-6, f"worst: {worst_name}")
+            worst, worst_name = err, case
+    return CheckResult(name, worst < 1e-6, worst, 1e-6, f"worst: {worst_name}")
+
+
+def check_primitive_gradients(seed: int = 7) -> CheckResult:
+    return _gradient_check("primitive op gradients vs central differences", _primitive_cases(np.random.default_rng(seed)))
 
 
 def _layer_cases(rng: np.random.Generator):
@@ -370,13 +356,7 @@ def _layer_cases(rng: np.random.Generator):
 
 
 def check_layer_gradients(seed: int = 11) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst, worst_name = 0.0, ""
-    for name, f, params in _layer_cases(rng):
-        err = grad_check(f, params)
-        if err > worst:
-            worst, worst_name = err, name
-    return CheckResult("layer gradients vs central differences", worst < 1e-6, worst, 1e-6, f"worst: {worst_name}")
+    return _gradient_check("layer gradients vs central differences", _layer_cases(np.random.default_rng(seed)))
 
 
 def toy_model(mode: str = "multi_class", seed: int = 3, dropout_rate: float = 0.0) -> DualChannelModel:

@@ -429,10 +429,20 @@ class TestVerifyCommand:
 
     def test_injected_fault_fails(self, capsys):
         assert main(["verify", "--quick", "--inject-fault"]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out
-        assert "FAIL  trimmed forward vs padded-width oracle" in out
-        assert "FAIL  fused GRU vs op-by-op tape oracle" in out
+        lines = [line for line in capsys.readouterr().out.splitlines() if line[:4] in ("PASS", "FAIL")]
+        status = {line[6:].split(": measured=")[0]: line[:4] for line in lines}
+        assert status == {
+            "chi2 bulk kernel vs direct (O-E)^2/E oracle": "PASS",
+            "anova F vs from-definition SSB/SSW oracle": "PASS",
+            "worked examples chi2(cat,A)=4 and F(cat,A)=9": "PASS",
+            "primitive op gradients vs central differences": "FAIL",
+            "layer gradients vs central differences": "FAIL",
+            "full dual-channel model gradient (toy sizes)": "FAIL",
+            "trimmed forward vs padded-width oracle (f64 toy model)": "FAIL",
+            "fused GRU vs op-by-op tape oracle, byte for byte": "FAIL",
+            "probability invariants (softmax/sigmoid/attention)": "PASS",
+            "roc_auc vs all-pairs concordance oracle": "PASS",
+        }
 
 
 class TestExitCodes:
@@ -558,6 +568,22 @@ class TestCheckpointValues:
         old.write_bytes(data[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes + records)
         assert predict_with(trained, old) == 4
         assert f"{n_params + 1} parameter records, model expects {n_params}" in capsys.readouterr().err
+
+    def test_label_names_not_strings_exit_4_in_predict(self, trained, tmp_path, capsys):
+        bad = rewritten_header(trained, tmp_path / "checkpoint.bin", lambda header: header.update(label_names=[1, 2, 3]))
+        assert predict_with(trained, bad) == 4
+        assert f"{bad}: bad checkpoint header (label_names must be a list of distinct strings" in capsys.readouterr().err
+
+    def test_repeated_label_names_exit_4_in_evaluate(self, trained, tmp_path, capsys):
+        root, _, out = trained
+        bad = rewritten_header(trained, tmp_path / "checkpoint.bin", lambda header: header.update(label_names=["a", "a", "b"]))
+        code = main([
+            "evaluate", "--checkpoint-path", str(bad), "--vocab-path", str(out / "vocab.tsv"),
+            "--descriptor-path", str(out / "descriptors.tsv"), "--test-path", str(root / "test.csv"),
+            "--out-dir", str(tmp_path / "eval"),
+        ])
+        assert code == 4
+        assert f"{bad}: bad checkpoint header (label_names must be a list of distinct strings" in capsys.readouterr().err
 
 
 class TestInvalidUtf8:

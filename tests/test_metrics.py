@@ -264,6 +264,15 @@ class TestReport:
         assert payload["accuracy"] == 0.5
         assert payload["per_class"][0]["label"] == "a"
 
+    def test_json_keys_are_the_report_fields(self):
+        import json
+        from dataclasses import fields
+
+        report = build_report("multi_label", ["x", "y"], [{0}, {1}], [{0}, {0, 1}], np.array([[0.9, 0.2], [0.4, 0.7]]), 0.5)
+        payload = json.loads(report.to_json())
+        assert sorted(payload) == sorted(f.name for f in fields(report))
+        assert payload["labels"] == ["x", "y"] and payload["threshold"] == 0.5
+
     def test_multi_label_report_includes_auc_and_threshold(self):
         probs = np.array([[0.9, 0.8], [0.2, 0.6], [0.1, 0.4]])
         golds = [{0, 1}, {1}, set()]

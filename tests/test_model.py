@@ -402,6 +402,20 @@ class TestCheckpoint:
         config = tiny_config(text_length=np.int64(7), learning_rate=1, dropout_rate=np.float32(0.25))
         assert config.text_length == 7 and config.learning_rate == 1
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("label_names", [1, 2, 3], "label_names must be a list of distinct strings, got [1, 2, 3]"),
+        ("label_names", "abc", "label_names must be a list of distinct strings, got 'abc'"),
+        ("label_names", ["a", "a", "b"], "label_names must be a list of distinct strings, got ['a', 'a', 'b']"),
+        ("vocab_sha256", 0, "vocab_sha256 and descriptor_sha256 must be strings"),
+        ("descriptor_sha256", None, "vocab_sha256 and descriptor_sha256 must be strings"),
+    ])
+    def test_header_names_and_hashes_of_wrong_type_rejected(self, tmp_path, key, value, message):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(DualChannelModel(tiny_config(), 50, 3), path, ["a", "b", "c"])
+        rewrite_header(path, lambda header: header.update({key: value}))
+        with pytest.raises(ArtifactError, match=re.escape(f"bad checkpoint header ({message})")):
+            load_checkpoint(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         model, *_ = tiny_setup()
         path = tmp_path / "model.ckpt"

@@ -271,6 +271,15 @@ class TestDropout:
         with pytest.raises(ValueError):
             nn.dropout(Tensor(np.ones(2)), 1.0, training=True, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_applies_the_mask_builder_cut_to_the_input(self, dtype):
+        # A trimmed input draws at the padded shape and keeps the mask's leading corner.
+        x = Tensor(np.random.default_rng(1).normal(size=(3, 4, 2)).astype(dtype))
+        dropped = nn.dropout(x, 0.3, training=True, rng=np.random.default_rng(5), draw_shape=(3, 6, 2))
+        mask = nn.dropout_mask(np.random.default_rng(5), (3, 6, 2), 0.3, dtype)
+        assert isinstance(mask, np.ndarray) and mask.dtype == dtype
+        assert dropped.data.tobytes() == (x.data * mask[:, :4]).tobytes()
+
 
 class TestLosses:
     def test_perfect_prediction_near_zero(self):

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SCRIPTS = ["descriptor_dimension_study.py", "identity_digest.py", "make_synthetic_data.py", "news_study.py"]
+SCRIPTS = ["descriptor_dimension_study.py", "identity_digest.py", "make_synthetic_data.py", "news_study.py", "serving_digest.py"]
 
 
 def run_script(name: str, *args: str) -> str:
