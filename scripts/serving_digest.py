@@ -32,19 +32,7 @@ from descnet.descriptors import extract_descriptors, load_descriptors, save_desc
 from descnet.model import (
     DualChannelModel, ModelConfig, encode_examples, load_checkpoint, predict, predict_probabilities, save_checkpoint, train,
 )
-from descnet.synth import news_like_corpus, to_documents
-
-
-def multi_label_rows(n_docs: int, n_classes: int, seed: int) -> tuple[list[tuple[str, str]], list[str]]:
-    """Join 1-2 short news-like docs, and their labels with '|', per document."""
-    rows, names = news_like_corpus(2 * n_docs, n_classes=n_classes, min_len=5, max_len=20, seed=seed)
-    rng = np.random.default_rng([seed, 3])
-    joined, pos = [], 0
-    while len(joined) < n_docs:
-        parts = rows[pos : pos + int(rng.integers(1, 3))]
-        pos += len(parts)
-        joined.append((" ".join(t for t, _ in parts), "|".join(sorted({c for _, c in parts}))))
-    return joined, names
+from descnet.synth import joined_news_corpus, to_documents
 
 
 def main(argv=None) -> int:
@@ -53,7 +41,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     n_train, n_score, call_size = 256, 2048, 128
-    rows, names = multi_label_rows(n_train + n_score, 6, args.seed)
+    rows, names = joined_news_corpus(n_train + n_score, n_classes=6, seed=args.seed)
     labels = LabelSpace(tuple(names), "multi_label")
     train_docs, score_docs = to_documents(rows[:n_train], labels), to_documents(rows[n_train:], labels)
     config = ModelConfig(

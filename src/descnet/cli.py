@@ -351,7 +351,7 @@ def main(argv=None) -> int:
         if args.command == "predict":
             return cmd_predict(config)
         return cmd_verify(config, quick=args.quick, inject_fault=args.inject_fault)
-    except (DataError, FileNotFoundError, IsADirectoryError, PermissionError) as e:
+    except (DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NonFiniteError as e:

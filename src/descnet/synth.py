@@ -105,6 +105,18 @@ def news_like_corpus(
     return rows, labels
 
 
+def joined_news_corpus(n_docs: int, n_classes: int = 4, seed: int = 0) -> tuple[list[tuple[str, str]], list[str]]:
+    """Multi-label rows that each join 1-2 short news-like docs, and their labels with '|'."""
+    rows, labels = news_like_corpus(2 * n_docs, n_classes=n_classes, min_len=5, max_len=20, seed=seed)
+    rng = np.random.default_rng([seed, 3])
+    joined, pos = [], 0
+    while len(joined) < n_docs:
+        parts = rows[pos : pos + int(rng.integers(1, 3))]
+        pos += len(parts)
+        joined.append((" ".join(t for t, _ in parts), "|".join(sorted({c for _, c in parts}))))
+    return joined, labels
+
+
 def to_documents(rows: list[tuple[str, str]], label_space: LabelSpace) -> list[Document]:
     return [make_document(i, text, parse_label_cell(cell, label_space.mode), label_space) for i, (text, cell) in enumerate(rows)]
 

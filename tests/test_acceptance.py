@@ -1,41 +1,36 @@
 """Acceptance suite: one test per acceptance criterion, at pinned tolerances.
 
 Each test prints a PASS/FAIL line (visible with ``pytest -s``). The desk-scale
-news experiment runs on the real AG News subset when AG_NEWS_TRAIN_CSV and
-AG_NEWS_TEST_CSV point at files in this package's ``text,label`` CSV schema;
-otherwise it runs on a generated news-like surrogate corpus of the same shape.
+news and descriptor-dimension tests run the protocols of
+``scripts/descriptor_study.py``, imported from there. The news experiment runs
+on the real AG News subset when AG_NEWS_TRAIN_CSV and AG_NEWS_TEST_CSV point
+at files in this package's ``text,label`` CSV schema; otherwise it runs on a
+generated news-like surrogate corpus of the same shape.
 """
 
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from descnet import verify
 from descnet.cli import main as cli_main
-from descnet.corpus import LabelSpace, build_vocabulary, load_dataset, split
+from descnet.corpus import LabelSpace, build_vocabulary
 from descnet.descriptors import extract_descriptors
-from descnet.metrics import roc_auc
-from descnet.model import (
-    DualChannelModel,
-    ModelConfig,
-    encode_examples,
-    predict_probabilities,
-    train,
-)
-from descnet.synth import buried_signal_corpus, marker_corpus, news_like_corpus, to_documents, write_csv
+from descnet.metrics import accuracy, roc_auc
+from descnet.model import DualChannelModel, ModelConfig, encode_examples, predict_probabilities, train
+from descnet.synth import marker_corpus, to_documents, write_csv
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+import descriptor_study as study  # noqa: E402
 
 
 def report(name: str, passed: bool, detail: str) -> None:
     print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}", flush=True)
     assert passed, f"{name}: {detail}"
-
-
-def accuracy_of(model, examples) -> float:
-    probs = predict_probabilities(model, examples)
-    gold = np.stack([ex.target for ex in examples]).argmax(axis=1)
-    return float((probs.argmax(axis=1) == gold).mean())
 
 
 class TestStatisticalOracles:
@@ -144,7 +139,8 @@ class TestEndToEndLearning:
         model = DualChannelModel(config, len(vocab), len(labels))
         history = train(model, examples, examples)  # training accuracy is the target
         elapsed = time.time() - start
-        acc = accuracy_of(model, examples)
+        gold = np.stack([ex.target for ex in examples]).argmax(axis=1)
+        acc = accuracy(predict_probabilities(model, examples).argmax(axis=1), gold)
         report(
             "end-to-end learning (200 docs, 2 classes: train acc >= 0.99 in <=10 epochs, <2min)",
             acc >= 0.99 and len(history) <= 10 and elapsed < 120.0,
@@ -152,64 +148,16 @@ class TestEndToEndLearning:
         )
 
 
-def _news_run(train_docs, test_docs, labels, seed, ablate_descriptors, config_overrides):
-    config = ModelConfig(
-        mode="multi_class",
-        d_embed=64,
-        gru_units=64,
-        dropout_rate=0.5,
-        descriptor_test="chi2",
-        descriptor_dimension=100,
-        learning_rate=1e-3,
-        batch_size=32,
-        seed=seed,
-        **config_overrides,
-    )
-    vocab = build_vocabulary(train_docs, config.vocabulary_max)
-    descriptors = extract_descriptors(
-        train_docs, vocab, labels, config.descriptor_test, config.descriptor_dimension
-    )
-    train_examples = encode_examples(train_docs, vocab, descriptors, labels, config)
-    test_examples = encode_examples(test_docs, vocab, descriptors, labels, config)
-    if ablate_descriptors:
-        for ex in train_examples + test_examples:
-            ex.descriptor_ids[:] = 0
-    val_examples = train_examples[-min(500, len(train_examples) // 5):]
-    fit_examples = train_examples[: len(train_examples) - len(val_examples)]
-    model = DualChannelModel(config, len(vocab), len(labels))
-    train(model, fit_examples, val_examples)
-    return accuracy_of(model, test_examples)
-
-
 @pytest.fixture(scope="module")
-def news_task():
-    """Real AG News 8k/2k subset when provided, news-like surrogate otherwise."""
-    train_env, test_env = os.environ.get("AG_NEWS_TRAIN_CSV"), os.environ.get("AG_NEWS_TEST_CSV")
-    if train_env and test_env:
-        labels = LabelSpace(("World", "Sports", "Business", "Sci/Tech"), "multi_class")
-        train_docs = load_dataset(train_env, "csv", labels)
-        test_docs = load_dataset(test_env, "csv", labels)
-        rng = np.random.default_rng(0)
-        train_docs = [train_docs[i] for i in rng.permutation(len(train_docs))[:8000]]
-        test_docs = [test_docs[i] for i in rng.permutation(len(test_docs))[:2000]]
-        overrides = dict(text_length=80, descriptor_length=40, max_epochs=8, patience=2)
-        return "AG News 8k/2k", train_docs, test_docs, labels, overrides
-    rows, names = news_like_corpus(2500, topical_fraction=0.12, seed=7)
-    labels = LabelSpace(tuple(names), "multi_class")
-    docs = to_documents(rows, labels)
-    overrides = dict(text_length=40, descriptor_length=24, max_epochs=2, patience=2)
-    return "news-like surrogate 2k/500 (AG_NEWS_*_CSV unset)", docs[:2000], docs[2000:], labels, overrides
-
-
-@pytest.fixture(scope="module")
-def news_results(news_task):
-    name, train_docs, test_docs, labels, overrides = news_task
+def news_results():
+    """Real AG News 8k/2k subset when AG_NEWS_*_CSV are set, news-like surrogate otherwise."""
+    task = study.news_task(os.environ.get("AG_NEWS_TRAIN_CSV", ""), os.environ.get("AG_NEWS_TEST_CSV", ""))
     start = time.time()
-    main_accuracy = _news_run(train_docs, test_docs, labels, 0, False, overrides)
+    main_accuracy = study.news_run(task, 0, False)[0]
     main_elapsed = time.time() - start
-    dual = [main_accuracy] + [_news_run(train_docs, test_docs, labels, seed, False, overrides) for seed in (1, 2)]
-    ablated = [_news_run(train_docs, test_docs, labels, seed, True, overrides) for seed in (0, 1, 2)]
-    return name, dual, ablated, main_elapsed
+    dual = [main_accuracy] + [study.news_run(task, seed, False)[0] for seed in (1, 2)]
+    ablated = [study.news_run(task, seed, True)[0] for seed in (0, 1, 2)]
+    return task[0], dual, ablated, main_elapsed
 
 
 class TestDeskScaleNews:
@@ -233,38 +181,9 @@ class TestDeskScaleNews:
 
 class TestDimensionTrend:
     def test_n100_at_least_n50_mean_over_3_seeds(self):
-        rows, names = buried_signal_corpus(
-            1300, indicators_per_class=120, doc_len=36, indicators_per_doc=4, n_noise=300, seed=11
-        )
-        labels = LabelSpace(tuple(names), "multi_class")
-        docs = to_documents(rows, labels)
-        train_docs, val_docs = docs[:1000], docs[1000:]
-
-        def best_val(seed, n_desc):
-            config = ModelConfig(
-                mode="multi_class",
-                d_embed=16,
-                gru_units=8,
-                dropout_rate=0.3,
-                descriptor_dimension=n_desc,
-                text_length=36,
-                descriptor_length=10,
-                learning_rate=3e-3,
-                batch_size=32,
-                max_epochs=2,
-                patience=2,
-                seed=seed,
-            )
-            vocab = build_vocabulary(train_docs, config.vocabulary_max)
-            dset = extract_descriptors(train_docs, vocab, labels, "chi2", n_desc)
-            tr = encode_examples(train_docs, vocab, dset, labels, config)
-            va = encode_examples(val_docs, vocab, dset, labels, config)
-            model = DualChannelModel(config, len(vocab), len(labels))
-            history = train(model, tr, va)
-            return max(s.val_metric for s in history)
-
-        n50 = [best_val(seed, 50) for seed in (0, 1, 2)]
-        n100 = [best_val(seed, 100) for seed in (0, 1, 2)]
+        task = study.dimension_task()
+        n50 = [study.dimension_run(task, 50, seed) for seed in (0, 1, 2)]
+        n100 = [study.dimension_run(task, 100, seed) for seed in (0, 1, 2)]
         report(
             "descriptor dimension trend: n=100 >= n=50 (mean val accuracy, 3 seeds)",
             float(np.mean(n100)) >= float(np.mean(n50)),

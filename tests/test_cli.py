@@ -459,6 +459,26 @@ class TestExitCodes:
         assert code == 3
         assert "epoch 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, path", [
+        ("extract-descriptors", "--out-dir", "file"),
+        ("extract-descriptors", "--out-dir", "file/sub"),
+        ("evaluate", "--out-dir", "file"),
+        ("evaluate", "--out-dir", "file/sub"),
+        ("train", "--train-path", "file/train.csv"),
+        ("evaluate", "--checkpoint-path", "file/checkpoint.bin"),
+    ])
+    def test_path_on_or_under_a_file_exit_2(self, trained, tmp_path, capsys, command, flag, path):
+        root, names, out = trained
+        (tmp_path / "file").write_text("")
+        args = {
+            "extract-descriptors": ["--train-path", str(root / "train.csv"), "--labels", ",".join(names)],
+            "train": train_args(root, names, tmp_path / "out")[1:],
+            "evaluate": ["--checkpoint-path", str(out / "checkpoint.bin"), "--test-path", str(root / "test.csv")],
+        }[command] + ["--out-dir", str(tmp_path / "out")]
+        args[args.index(flag) + 1] = str(tmp_path / path)
+        assert main([command, *args]) == 2
+        assert str(tmp_path / "file") in capsys.readouterr().err
+
 
 class TestEmbeddingFile:
     def test_pretrained_vectors_flow_through_train(self, corpus_dir, tmp_path, capsys):

@@ -22,7 +22,7 @@ from descnet.model import (
     save_checkpoint,
     train,
 )
-from descnet.synth import marker_corpus, news_like_corpus, to_documents
+from descnet.synth import joined_news_corpus, marker_corpus, to_documents
 from descnet.verify import padded_forward, training_gradients
 
 
@@ -277,18 +277,6 @@ class TestPredict:
         assert np.all(np.isfinite(probs))
 
 
-def joined_short_docs(n_docs: int, seed: int) -> tuple[list[tuple[str, str]], list[str]]:
-    """Multi-label rows that join 1-2 short news-like docs and their labels, over 6 classes."""
-    rows, names = news_like_corpus(2 * n_docs, n_classes=6, min_len=5, max_len=20, seed=seed)
-    rng = np.random.default_rng([seed, 3])
-    joined, pos = [], 0
-    while len(joined) < n_docs:
-        parts = rows[pos : pos + int(rng.integers(1, 3))]
-        pos += len(parts)
-        joined.append((" ".join(t for t, _ in parts), "|".join(sorted({c for _, c in parts}))))
-    return joined, names
-
-
 class TestServingConsistency:
     """Single-document ``predict`` against 128-doc batched scoring, on short joined multi-label documents.
 
@@ -300,7 +288,7 @@ class TestServingConsistency:
     @pytest.fixture(scope="class")
     def served(self):
         n_train, n_score = 256, 512
-        rows, names = joined_short_docs(n_train + n_score, seed=1)
+        rows, names = joined_news_corpus(n_train + n_score, n_classes=6, seed=1)
         labels = LabelSpace(tuple(names), "multi_label")
         docs = to_documents(rows, labels)
         cfg = ModelConfig(mode="multi_label", d_embed=64, gru_units=64, learning_rate=0.05, max_epochs=1, patience=0, seed=1)
