@@ -93,7 +93,7 @@ class GRUCell:
     """Gated recurrent unit parameters: update gate z, reset gate r, candidate state.
 
     h_t = (1 - z) * h_prev + z * h_tilde, the convention of the original
-    encoder-decoder formulation; ``nm.gru_sequence`` runs the recurrence.
+    encoder-decoder formulation; ``nm.bigru_sequence`` runs the recurrence.
     """
 
     def __init__(self, input_dim: int, hidden_size: int, rng: np.random.Generator, dtype=np.float32, name: str = "gru"):
@@ -130,10 +130,9 @@ def bigru_forward(
     Output shape (batch, steps, 2 * hidden); positions past each example's
     length are exactly zero.
     """
-    mask = _valid_mask(lengths, embedded.shape[1], embedded.data.dtype)
-    fwd = nm.gru_sequence(embedded, forward_cell.parameters(), mask, False, forward_recurrent_mask)
-    bwd = nm.gru_sequence(embedded, backward_cell.parameters(), mask, True, backward_recurrent_mask)
-    return nm.concat([fwd, bwd], axis=2)
+    step_mask = _valid_mask(lengths, embedded.shape[1], embedded.data.dtype)
+    recurrent_masks = (forward_recurrent_mask, backward_recurrent_mask)
+    return nm.bigru_sequence(embedded, forward_cell.parameters(), backward_cell.parameters(), step_mask, *recurrent_masks)
 
 
 def max_pool_time(hidden: Tensor, lengths: np.ndarray) -> Tensor:

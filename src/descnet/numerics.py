@@ -31,7 +31,7 @@ __all__ = [
     "log",
     "clip",
     "concat",
-    "gru_sequence",
+    "bigru_sequence",
     "reshape",
     "embedding_gather",
     "max_over_axis",
@@ -358,103 +358,124 @@ def sum_over_axis(a: Tensor, axis: int | None) -> Tensor:
     return _emit(data, (a,), backward_fn)
 
 
-def gru_sequence(
+def bigru_sequence(
     x: Tensor,
-    weights: Sequence[Parameter],
+    forward_weights: Sequence[Parameter],
+    backward_weights: Sequence[Parameter],
     step_mask: np.ndarray,
-    reverse: bool,
-    recurrent_mask: np.ndarray | None = None,
+    forward_recurrent_mask: np.ndarray | None = None,
+    backward_recurrent_mask: np.ndarray | None = None,
 ) -> Tensor:
-    """One GRU direction over time as a single tape record: states of shape (batch, steps, hidden).
+    """Both GRU directions over time as a single tape record: states of shape (batch, steps, 2 * hidden).
 
-    ``weights`` are (W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h), as in
-    ``GRUCell.parameters()``. Step t, taken in reverse time order when
-    ``reverse``, computes with h_rec = h_prev * recurrent_mask (h_prev when
-    no mask), the mask being a constant (batch, hidden) dropout mask, and s
-    the logistic function:
+    Each ``*_weights`` is (W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h), as in
+    ``GRUCell.parameters()``. Step t of a direction (in reverse time order for
+    the backward one) computes, with h_rec = h_prev times its constant
+    (batch, hidden) recurrent dropout mask (h_prev without masks) and s the
+    logistic function:
 
         z = s(x_t W_z + b_z + h_rec U_z);  r = s(x_t W_r + b_r + h_rec U_r)
         c = tanh(x_t W_h + b_h + (r * h_rec) U_h)
         h_t = ((1 - z) * h_prev + z * c) * step_mask[:, t]
 
-    so a padded step emits zeros and resets the state. The forward issues the
-    numpy calls of the op-by-op tape path (``verify.bigru_oracle``) on the same
-    operand shapes, and the adjoint sums every gradient in that path's replay
-    order, so states and gradients are byte-identical to it. Per-step values
-    are kept only while a tape is recording.
+    so a padded step emits zeros and resets the state. Both directions' s-th
+    steps run on stacked (2, batch, hidden) arrays: a stacked ``np.matmul``
+    calls the 2-D product's BLAS routine on each slice, and a ufunc computes
+    each element as at any shape. The adjoint sums every gradient in the
+    op-by-op tape path's replay order, so states and gradients are
+    byte-identical to it (``verify.bigru_oracle``); per-step values are kept
+    only while a tape records.
     """
-    W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = weights
-    if x.data.ndim != 3 or x.shape[2] != W_z.shape[0] or x.data.dtype != W_z.data.dtype:
-        raise ShapeError(f"gru_sequence: input {x.shape} {x.data.dtype} does not fit W_z {W_z.shape} {W_z.data.dtype}")
-    xz = x.data @ W_z.data + b_z.data
-    xr = x.data @ W_r.data + b_r.data
-    xh = x.data @ W_h.data + b_h.data
-    n_steps = x.shape[1]
-    order = range(n_steps - 1, -1, -1) if reverse else range(n_steps)
+    cells = (forward_weights, backward_weights)
+    fits = [f"W_z {w[0].shape}, U_z {w[1].shape}, {w[0].data.dtype}" for w in cells]
+    if fits[0] != fits[1]:
+        raise ShapeError(f"bigru_sequence: forward cell ({fits[0]}) and backward cell ({fits[1]}) differ")
+    if (forward_recurrent_mask is None) != (backward_recurrent_mask is None):
+        raise ShapeError("bigru_sequence: give both recurrent masks or neither")
+    (n_in, hidden), dtype = forward_weights[0].shape, forward_weights[0].data.dtype
+    if x.data.ndim != 3 or x.shape[2] != n_in or x.data.dtype != dtype:
+        raise ShapeError(f"bigru_sequence: input {x.shape} {x.data.dtype} does not fit W_z {(n_in, hidden)} {dtype}")
+    batch, n_steps = x.shape[0], x.shape[1]
+    # Direction d's input projections at its s-th step: gates z and r in
+    # proj_zr[s, :, d], gate h in proj_h[s, d], which the step's state overwrites.
+    proj_zr = np.empty((n_steps, 2, 2, batch, hidden), dtype=dtype)
+    proj_h = np.empty((n_steps, 2, batch, hidden), dtype=dtype)
+    p = np.empty((batch, n_steps, hidden), dtype=dtype)
+    for d, weights in enumerate(cells):
+        for W, b, slot in zip(weights[0::3], weights[2::3], (proj_zr[:, 0, d], proj_zr[:, 1, d], proj_h[:, d])):
+            np.matmul(x.data, W.data, out=p)
+            p += b.data
+            slot[...] = (p[:, ::-1] if d else p).transpose(1, 0, 2)
+    del p
+    step_masks = np.stack([step_mask.T, step_mask.T[::-1]], axis=1)[..., None]
+    recurrent_mask = None if forward_recurrent_mask is None else np.stack([forward_recurrent_mask, backward_recurrent_mask])
+    U_zr, U_h = np.array([[w[1].data for w in cells], [w[4].data for w in cells]]), np.stack([w[7].data for w in cells])
     recording = _active_tape() is not None
-    h = np.zeros((x.shape[0], U_z.shape[0]), dtype=x.data.dtype)
-    states: list[np.ndarray | None] = [None] * n_steps
-    saved = []
-    for t in order:
+    h, saved = np.zeros((2, batch, hidden), dtype=dtype), []
+    for s in range(n_steps):
         h_rec = h if recurrent_mask is None else h * recurrent_mask
-        z = _logistic(xz[:, t] + h_rec @ U_z.data)
-        r = _logistic(xr[:, t] + h_rec @ U_r.data)
+        zr = np.matmul(h_rec, U_zr)
+        zr += proj_zr[s]
+        z, r = _logistic(zr)
         rh = r * h_rec
-        c = np.tanh(xh[:, t] + rh @ U_h.data)
+        c = np.matmul(rh, U_h)
+        c += proj_h[s]
+        np.tanh(c, out=c)
         not_z = 1.0 - z
         if recording:
             saved.append((h, h_rec, z, r, rh, c, not_z))
-        h = states[t] = (not_z * h + z * c) * step_mask[:, t : t + 1]
-    data = np.stack(states, axis=1)
+        h = np.multiply(not_z * h + z * c, step_masks[s], out=proj_h[s])
+    del proj_zr
+    data = np.concatenate([proj_h[:, 0].transpose(1, 0, 2), proj_h[::-1, 1].transpose(1, 0, 2)], axis=2)
 
     def backward_fn(g):
-        g_xz, g_xr, g_xh = np.zeros_like(xz), np.zeros_like(xr), np.zeros_like(xh)
-        grad_U_z, grad_U_r, grad_U_h = _grad(U_z), _grad(U_r), _grad(U_h)
-        g_state = g[:, order[-1]]
-        for i in range(n_steps - 1, -1, -1):
-            t = order[i]
-            g_out_prev = g[:, order[i - 1]] if i > 0 else None
-            g_a_z, g_a_r, g_a_h, g_state = _gru_step_adjoint(
-                g_state * step_mask[:, t : t + 1], g_out_prev, saved[i], recurrent_mask, U_z.data, U_r.data, U_h.data
-            )
-            _, h_rec, _, _, rh, _, _ = saved[i]
-            grad_U_h += rh.T @ g_a_h
-            grad_U_r += h_rec.T @ g_a_r
-            grad_U_z += h_rec.T @ g_a_z
-            g_xz[:, t], g_xr[:, t], g_xh[:, t] = g_a_z, g_a_r, g_a_h
+        g_out = np.stack([g[:, :, :hidden], g[:, ::-1, hidden:]]).transpose(2, 0, 1, 3)
+        # g_proj[s, gate, d]: the pre-activation adjoints of direction d's s-th step.
+        g_proj = np.empty((n_steps, 3, 2, batch, hidden), dtype=dtype)
+        g_U = np.zeros((3, 2, hidden, hidden), dtype=dtype)
+        U_zr_t, U_h_t = U_zr.transpose(0, 1, 3, 2), U_h.transpose(0, 2, 1)
+        g_state = g_out[-1]
+        for s in range(n_steps - 1, -1, -1):
+            g_state = _gru_step_adjoint(g_state * step_masks[s], g_out[s - 1] if s else None, saved[s], recurrent_mask, U_zr_t, U_h_t, g_proj[s])
+            _, h_rec, _, _, rh, _, _ = saved[s]
+            g_U[2] += np.matmul(rh.transpose(0, 2, 1), g_proj[s, 2])
+            g_U[:2] += np.matmul(h_rec.transpose(0, 2, 1), g_proj[s, :2])
         flat_x = x.data.reshape(-1, x.shape[-1])
-        for W, b, g_p in ((W_h, b_h, g_xh), (W_r, b_r, g_xr), (W_z, b_z, g_xz)):
-            _accum(b, _unbroadcast(g_p, b.shape))
-            if x.needs_grad:
-                _accum(x, g_p @ W.data.T)
-            _accum(W, flat_x.T @ g_p.reshape(-1, g_p.shape[-1]))
+        for d in (1, 0):
+            for gate in (2, 1, 0):
+                W, U, b = cells[d][3 * gate : 3 * gate + 3]
+                g_p = np.ascontiguousarray((g_proj[::-1] if d else g_proj)[:, gate, d].transpose(1, 0, 2))
+                _accum(b, _unbroadcast(g_p, b.shape))
+                if x.needs_grad:
+                    _accum(x, g_p @ W.data.T)
+                _accum(W, flat_x.T @ g_p.reshape(-1, hidden))
+                _accum(U, g_U[gate, d])
 
-    return _emit(data, (x, *weights), backward_fn)
+    return _emit(data, (x, *forward_weights, *backward_weights), backward_fn)
 
 
-def _gru_step_adjoint(g_new, g_out_prev, saved, recurrent_mask, U_z, U_r, U_h):
-    """Pre-activation adjoints of one ``gru_sequence`` step, and the gradient of its h_prev.
+def _gru_step_adjoint(g_new, g_out_prev, saved, recurrent_mask, U_zr_t, U_h_t, out):
+    """Writes a ``bigru_sequence`` step's pre-activation adjoints into ``out`` (gate z/r/h, direction, batch, hidden).
 
-    ``g_new`` is the gradient of the step's new state before the step mask;
-    ``g_out_prev`` is the output gradient at h_prev's position, or None at
-    the first step, whose h_prev is the constant zero state (its gradient is
-    then None too). Each sum runs in the op-by-op path's order. The closure
-    looks this function up at each call, so ``verify --inject-fault`` can
-    put a corrupted BPTT step in its place.
+    Returns the gradient of h_prev: None at the first step, whose h_prev is
+    the constant zero state and whose ``g_out_prev`` (the output gradient at
+    h_prev's positions) is None. ``g_new`` is the new state's gradient before
+    the step mask; ``U_*_t`` are the stacked U matrices, each transposed.
+    Each sum runs in the op-by-op path's order. The closure looks this
+    function up at each call, so ``verify --inject-fault`` can replace it.
     """
     h_prev, h_rec, z, r, _, c, not_z = saved
-    g_a_h = g_new * z * (1.0 - c * c)
-    g_rh = g_a_h @ U_h.T
-    g_a_r = g_rh * h_rec * r * (1.0 - r)
-    g_a_z = (g_new * c - g_new * h_prev) * z * not_z
+    g_a_h = np.multiply(g_new * z, 1.0 - c * c, out=out[2])
+    g_rh = np.matmul(g_a_h, U_h_t)
+    np.multiply(g_rh * h_rec * r, 1.0 - r, out=out[1])
+    np.multiply((g_new * c - g_new * h_prev) * z, not_z, out=out[0])
     if g_out_prev is None:
-        return g_a_z, g_a_r, g_a_h, None
+        return None
     g_prev = g_out_prev + g_new * not_z
+    g_zr = np.matmul(out[:2], U_zr_t)
     if recurrent_mask is None:
-        g_prev = g_prev + g_rh * r + g_a_r @ U_r.T + g_a_z @ U_z.T
-    else:
-        g_prev = g_prev + (g_rh * r + g_a_r @ U_r.T + g_a_z @ U_z.T) * recurrent_mask
-    return g_a_z, g_a_r, g_a_h, g_prev
+        return g_prev + g_rh * r + g_zr[1] + g_zr[0]
+    return g_prev + (g_rh * r + g_zr[1] + g_zr[0]) * recurrent_mask
 
 
 def backward(loss: Tensor, tape: Tape) -> None:

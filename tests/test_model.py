@@ -320,6 +320,28 @@ class TestServingConsistency:
             assert produced.tobytes() == expected.tobytes()
 
 
+class TestTrainingAtProductionShape:
+    """The fused GRU against the op-by-op oracle at the benchmark's training shape, where BLAS picks its kernels by size."""
+
+    def test_training_step_byte_identical_to_op_by_op_oracle(self, monkeypatch):
+        cfg = ModelConfig(d_embed=64, gru_units=64, text_length=40, dropout_rate=0.5, seed=5)
+        model = DualChannelModel(cfg, vocab_size=300, n_classes=4)
+        rng = np.random.default_rng(5)
+        text_ids = rng.integers(1, 300, size=(32, 40))
+        desc_ids = rng.integers(1, 300, size=(32, 40))
+        text_ids[np.arange(40)[None, :] >= rng.integers(1, 41, size=(32, 1))] = 0
+        desc_ids[np.arange(40)[None, :] >= rng.integers(0, 25, size=(32, 1))] = 0
+        targets = np.eye(4, dtype=np.float32)[rng.integers(0, 4, size=32)]
+        fused = training_gradients(DualChannelModel.forward, model, text_ids, desc_ids, targets, np.random.default_rng(6))
+        monkeypatch.setattr(nn, "bigru_forward", verify.bigru_oracle)
+        oracle = training_gradients(DualChannelModel.forward, model, text_ids, desc_ids, targets, np.random.default_rng(6))
+        assert fused[0] == oracle[0]
+        assert fused[1].keys() == oracle[1].keys()
+        for name, expected in oracle[1].items():
+            assert fused[1][name].dtype == np.float32
+            assert fused[1][name].tobytes() == expected.tobytes(), name
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact_forward(self, tmp_path):
         model, examples, *_ = tiny_setup()

@@ -117,7 +117,7 @@ class TestBiGRU:
 
 
 class TestFusedGRU:
-    """``nn.bigru_forward`` runs one ``nm.gru_sequence`` record per direction; ``verify.bigru_oracle`` is the op-by-op path."""
+    """``nn.bigru_forward`` runs both directions as one ``nm.bigru_sequence`` record; ``verify.bigru_oracle`` is the op-by-op path."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -150,14 +150,33 @@ class TestFusedGRU:
             assert produced.dtype == expected.dtype
             assert produced.tobytes() == expected.tobytes()
 
-    def test_one_record_per_direction_and_one_concat(self):
+    def test_one_record_per_bigru_call(self):
         rng = np.random.default_rng(40)
         fwd, bwd = nn.GRUCell(3, 4, rng, np.float32), nn.GRUCell(3, 4, rng, np.float32)
         emb = Parameter(rng.normal(size=(2, 7, 3)).astype(np.float32), name="emb")
         masks = [nn.dropout_mask(rng, (2, 4), 0.5, np.float32) for _ in range(2)]
         with Tape() as tape:
             nn.bigru_forward(fwd, bwd, emb, np.array([7, 3]), *masks)
-        assert len(tape) == 3
+        assert len(tape) == 1
+
+    @pytest.mark.parametrize(
+        "bwd_shape, bwd_dtype, detail",
+        [((5, 4), np.float32, r"\(5, 4\)"), ((3, 6), np.float32, r"\(6, 6\)"), ((3, 4), np.float64, "float64")],
+        ids=["input size", "hidden size", "dtype"],
+    )
+    def test_cells_that_differ_raise_shape_error_naming_both(self, bwd_shape, bwd_dtype, detail):
+        rng = np.random.default_rng(41)
+        fwd, bwd = nn.GRUCell(3, 4, rng, np.float32), nn.GRUCell(*bwd_shape, rng, bwd_dtype)
+        emb = Tensor(rng.normal(size=(2, 5, 3)).astype(np.float32))
+        with pytest.raises(nm.ShapeError, match=rf"\(3, 4\).*{detail}"):
+            nn.bigru_forward(fwd, bwd, emb, np.array([5, 2]))
+
+    def test_one_recurrent_mask_without_the_other_raises_shape_error(self):
+        rng = np.random.default_rng(42)
+        fwd, bwd = nn.GRUCell(3, 4, rng, np.float32), nn.GRUCell(3, 4, rng, np.float32)
+        emb = Tensor(rng.normal(size=(2, 5, 3)).astype(np.float32))
+        with pytest.raises(nm.ShapeError, match="both recurrent masks or neither"):
+            nn.bigru_forward(fwd, bwd, emb, np.array([5, 2]), nn.dropout_mask(rng, (2, 4), 0.5, np.float32))
 
     def test_fused_check_catches_a_corrupted_bptt_alone(self, monkeypatch):
         # The oracle is left intact: only the fused adjoint's carried gradient is scaled.
