@@ -124,7 +124,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     for f in fields(RunConfig):
         override = getattr(args, f.name, None)
         if override is not None:
-            values[f.name] = _coerce(f.name, str(override)) if isinstance(override, str) else override
+            values[f.name] = _coerce(f.name, override)
     return RunConfig(**values)
 
 
@@ -143,15 +143,30 @@ def _require(config: RunConfig, *keys: str) -> None:
             raise DataError(f"missing required option {key!r} (config key or --{key.replace('_', '-')})")
 
 
+def _fit_documents(config: RunConfig, labels: LabelSpace):
+    """Train's fit documents, its validation documents and the fit documents' vocabulary; extract-descriptors fits the same."""
+    docs = load_dataset(config.train_path, config.format, labels)
+    if config.val_path:
+        fit_docs, val_docs = docs, load_dataset(config.val_path, config.format, labels)
+    else:
+        fit_docs, val_docs = split(docs, config.val_fraction, config.seed)
+    if config.drop_overlength:
+        fit_docs = [d for d in fit_docs if len(d.tokens) <= config.text_length]
+    if not fit_docs:
+        raise DataError("no training documents left after filtering")
+    return fit_docs, val_docs, build_vocabulary(fit_docs, config.vocabulary_max)
+
+
+def _extract(config: RunConfig, fit_docs, vocab, labels: LabelSpace):
+    return extract_descriptors(fit_docs, vocab, labels, config.descriptor_test, config.descriptor_dimension, config.min_doc_frequency)
+
+
 def cmd_extract_descriptors(config: RunConfig) -> int:
     _require(config, "train_path", "labels")
     out_dir = echo_config(config)
     labels = config.label_space()
-    docs = load_dataset(config.train_path, config.format, labels)
-    vocab = build_vocabulary(docs, config.vocabulary_max)
-    descriptors = extract_descriptors(
-        docs, vocab, labels, config.descriptor_test, config.descriptor_dimension, config.min_doc_frequency
-    )
+    fit_docs, _, vocab = _fit_documents(config, labels)
+    descriptors = _extract(config, fit_docs, vocab, labels)
     path = out_dir / "descriptors.tsv"
     save_descriptors(descriptors, path)
     print(f"wrote {path} ({config.descriptor_test}, n={config.descriptor_dimension})")
@@ -167,23 +182,11 @@ def cmd_train(config: RunConfig) -> int:
     labels = config.label_space()
     model_config = config.model_config()
 
-    docs = load_dataset(config.train_path, config.format, labels)
-    if config.val_path:
-        train_docs, val_docs = docs, load_dataset(config.val_path, config.format, labels)
-    else:
-        train_docs, val_docs = split(docs, config.val_fraction, config.seed)
-    if config.drop_overlength:
-        train_docs = [d for d in train_docs if len(d.tokens) <= config.text_length]
-    if not train_docs:
-        raise DataError("no training documents left after filtering")
-
-    vocab = build_vocabulary(train_docs, config.vocabulary_max)
+    train_docs, val_docs, vocab = _fit_documents(config, labels)
     if config.descriptor_path:
         descriptors = load_descriptors(config.descriptor_path)
     else:
-        descriptors = extract_descriptors(
-            train_docs, vocab, labels, config.descriptor_test, config.descriptor_dimension, config.min_doc_frequency
-        )
+        descriptors = _extract(config, train_docs, vocab, labels)
 
     train_examples = encode_examples(train_docs, vocab, descriptors, labels, model_config)
     val_examples = encode_examples(val_docs, vocab, descriptors, labels, model_config)

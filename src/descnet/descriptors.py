@@ -234,6 +234,7 @@ def save_descriptors(descriptors: ClassDescriptorSet, path) -> None:
 
 
 def load_descriptors(path) -> ClassDescriptorSet:
+    """The set ``save_descriptors`` wrote; a header with no rows is a set of no classes."""
     with open_text(path) as fh:
         header = fh.readline().rstrip("\n")
         match = _HEADER_RE.match(header)
@@ -260,6 +261,4 @@ def load_descriptors(path) -> ClassDescriptorSet:
                 class_names.append(name)
                 entries.append([])
             entries[-1].append((tok, score))
-    if not class_names:
-        raise DataError(f"{path}: no descriptor entries")
     return ClassDescriptorSet(test, n, tuple(class_names), entries)

@@ -124,38 +124,39 @@ class DualChannelModel:
             p.zero_grad()
 
     def _recurrent_masks(self, batch: int, training: bool, rng) -> list[np.ndarray | None]:
+        """The text and the descriptor BiGRU's (2, batch, gru_units) recurrent dropout masks."""
         rate = self.config.dropout_rate
         if not training or rate == 0.0:
-            return [None] * 4
-        return [nn.dropout_mask(rng, (batch, self.config.gru_units), rate, self.dtype) for _ in range(4)]
+            return [None, None]
+        return [nn.dropout_mask(rng, (2, batch, self.config.gru_units), rate, self.dtype) for _ in range(2)]
 
-    def _embed(self, layer: nn.EmbeddingLayer, ids: np.ndarray, lengths: np.ndarray, training: bool, rng) -> Tensor:
-        """Embedded first ``trim_length(lengths)`` columns of ``ids``, after dropout drawn at the padded width."""
-        embedded = layer.forward(ids[:, : trim_length(lengths)])
-        draw_shape = (*ids.shape, self.config.d_embed)
-        return nn.dropout(embedded, self.config.dropout_rate, training, rng, draw_shape=draw_shape)
+    def _embed(self, ids: np.ndarray, lengths: np.ndarray, training: bool, rng) -> Tensor:
+        """Embedded first ``trim_length(lengths)`` columns of ``ids``, after dropout."""
+        embedded = self.embedding.forward(ids[:, : trim_length(lengths)])
+        return nn.dropout(embedded, self.config.dropout_rate, training, rng)
 
     def forward(self, text_ids: np.ndarray, desc_ids: np.ndarray, training: bool = False, rng=None) -> Tensor:
         """Per-class probabilities, shape (batch, n_classes).
 
         Each channel is cut to the batch's longest valid sequence before it is
         embedded, so the BiGRUs do not step over columns that are padding in
-        every row. The output does not depend on the padding width.
+        every row, and embedding dropout is drawn at that cut. The output, in
+        training as in inference, does not depend on the padding width.
         """
         text_lengths = (text_ids != PAD_ID).sum(axis=1)
         desc_lengths = (desc_ids != PAD_ID).sum(axis=1)
         masks = self._recurrent_masks(text_ids.shape[0], training, rng)
-        emb_text = self._embed(self.embedding, text_ids, text_lengths, training, rng)
-        emb_desc = self._embed(self.embedding, desc_ids, desc_lengths, training, rng)
+        emb_text = self._embed(text_ids, text_lengths, training, rng)
+        emb_desc = self._embed(desc_ids, desc_lengths, training, rng)
         return self._from_embedded(emb_text, text_lengths, emb_desc, desc_lengths, masks, training, rng)
 
     def _from_embedded(self, emb_text, text_lengths, emb_desc, desc_lengths, masks, training: bool, rng) -> Tensor:
         """The network after the embedding: both BiGRUs, the pools, attention, feature dropout and the head."""
-        hidden_text = nn.bigru_forward(self.text_fwd, self.text_bwd, emb_text, text_lengths, masks[0], masks[1])
+        hidden_text = nn.bigru_forward(self.text_fwd, self.text_bwd, emb_text, text_lengths, masks[0])
         pooled_max = nn.max_pool_time(hidden_text, text_lengths)
         pooled_avg = nn.avg_pool_time(hidden_text, text_lengths)
 
-        hidden_desc = nn.bigru_forward(self.desc_fwd, self.desc_bwd, emb_desc, desc_lengths, masks[2], masks[3])
+        hidden_desc = nn.bigru_forward(self.desc_fwd, self.desc_bwd, emb_desc, desc_lengths, masks[1])
         context, _ = nn.attention_forward(self.attention, hidden_desc, desc_lengths)
 
         features = nm.concat([pooled_max, pooled_avg, context], axis=1)

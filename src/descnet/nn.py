@@ -122,17 +122,16 @@ def bigru_forward(
     backward_cell: GRUCell,
     embedded: Tensor,
     lengths: np.ndarray,
-    forward_recurrent_mask: np.ndarray | None = None,
-    backward_recurrent_mask: np.ndarray | None = None,
+    recurrent_mask: np.ndarray | None = None,
 ) -> Tensor:
     """Run both directions over the valid prefix; concat per-timestep states.
 
-    Output shape (batch, steps, 2 * hidden); positions past each example's
-    length are exactly zero.
+    ``recurrent_mask`` is the (2, batch, hidden) recurrent dropout mask, the
+    forward direction's first. Output shape (batch, steps, 2 * hidden);
+    positions past each example's length are exactly zero.
     """
     step_mask = _valid_mask(lengths, embedded.shape[1], embedded.data.dtype)
-    recurrent_masks = (forward_recurrent_mask, backward_recurrent_mask)
-    return nm.bigru_sequence(embedded, forward_cell.parameters(), backward_cell.parameters(), step_mask, *recurrent_masks)
+    return nm.bigru_sequence(embedded, forward_cell.parameters(), backward_cell.parameters(), step_mask, recurrent_mask)
 
 
 def max_pool_time(hidden: Tensor, lengths: np.ndarray) -> Tensor:
@@ -209,24 +208,15 @@ class DenseLayer:
         return nm.sigmoid(logits)
 
 
-def dropout(
-    x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None, draw_shape=None
-) -> Tensor:
-    """Inverted dropout: zero at ``rate``, scale survivors by 1/(1-rate).
-
-    ``draw_shape``, when given, is a shape at least as large as ``x`` per
-    axis: the mask is drawn at that shape and cut down to ``x``'s
-    leading corner, so a trimmed input consumes the same random numbers as
-    the untrimmed one.
-    """
+def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
+    """Inverted dropout: zero at ``rate``, scale survivors by 1/(1-rate)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
-    keep = dropout_mask(rng, x.shape if draw_shape is None else draw_shape, rate, x.data.dtype)
-    return nm.mul(x, keep[tuple(slice(n) for n in x.shape)])
+    return nm.mul(x, dropout_mask(rng, x.shape, rate, x.data.dtype))
 
 
 def dropout_mask(rng: np.random.Generator, shape, rate: float, dtype) -> np.ndarray:

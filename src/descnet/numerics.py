@@ -363,16 +363,16 @@ def bigru_sequence(
     forward_weights: Sequence[Parameter],
     backward_weights: Sequence[Parameter],
     step_mask: np.ndarray,
-    forward_recurrent_mask: np.ndarray | None = None,
-    backward_recurrent_mask: np.ndarray | None = None,
+    recurrent_mask: np.ndarray | None = None,
 ) -> Tensor:
     """Both GRU directions over time as a single tape record: states of shape (batch, steps, 2 * hidden).
 
     Each ``*_weights`` is (W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h), as in
     ``GRUCell.parameters()``. Step t of a direction (in reverse time order for
     the backward one) computes, with h_rec = h_prev times its constant
-    (batch, hidden) recurrent dropout mask (h_prev without masks) and s the
-    logistic function:
+    recurrent dropout mask ``recurrent_mask[d]`` (h_prev without a mask; the
+    mask is (2, batch, hidden), forward direction first) and s the logistic
+    function:
 
         z = s(x_t W_z + b_z + h_rec U_z);  r = s(x_t W_r + b_r + h_rec U_r)
         c = tanh(x_t W_h + b_h + (r * h_rec) U_h)
@@ -390,12 +390,12 @@ def bigru_sequence(
     fits = [f"W_z {w[0].shape}, U_z {w[1].shape}, {w[0].data.dtype}" for w in cells]
     if fits[0] != fits[1]:
         raise ShapeError(f"bigru_sequence: forward cell ({fits[0]}) and backward cell ({fits[1]}) differ")
-    if (forward_recurrent_mask is None) != (backward_recurrent_mask is None):
-        raise ShapeError("bigru_sequence: give both recurrent masks or neither")
     (n_in, hidden), dtype = forward_weights[0].shape, forward_weights[0].data.dtype
     if x.data.ndim != 3 or x.shape[2] != n_in or x.data.dtype != dtype:
         raise ShapeError(f"bigru_sequence: input {x.shape} {x.data.dtype} does not fit W_z {(n_in, hidden)} {dtype}")
     batch, n_steps = x.shape[0], x.shape[1]
+    if recurrent_mask is not None and recurrent_mask.shape != (2, batch, hidden):
+        raise ShapeError(f"bigru_sequence: recurrent mask {recurrent_mask.shape}, expected {(2, batch, hidden)}")
     # Direction d's input projections at its s-th step: gates z and r in
     # proj_zr[s, :, d], gate h in proj_h[s, d], which the step's state overwrites.
     proj_zr = np.empty((n_steps, 2, 2, batch, hidden), dtype=dtype)
@@ -408,7 +408,6 @@ def bigru_sequence(
             slot[...] = (p[:, ::-1] if d else p).transpose(1, 0, 2)
     del p
     step_masks = np.stack([step_mask.T, step_mask.T[::-1]], axis=1)[..., None]
-    recurrent_mask = None if forward_recurrent_mask is None else np.stack([forward_recurrent_mask, backward_recurrent_mask])
     U_zr, U_h = np.array([[w[1].data for w in cells], [w[4].data for w in cells]]), np.stack([w[7].data for w in cells])
     recording = _active_tape() is not None
     h, saved = np.zeros((2, batch, hidden), dtype=dtype), []

@@ -102,13 +102,21 @@ def auc_oracle(scores, labels) -> float:
 
 
 def padded_forward(model: DualChannelModel, text_ids, desc_ids, training: bool = False, rng=None) -> Tensor:
-    """``DualChannelModel.forward`` without the trim: both channels are embedded, and the BiGRUs run, at the full padded width."""
+    """``DualChannelModel.forward`` without the trim: the BiGRUs, pools and attention run at the full padded width."""
     text_lengths = (np.asarray(text_ids) != PAD_ID).sum(axis=1)
     desc_lengths = (np.asarray(desc_ids) != PAD_ID).sum(axis=1)
     masks = model._recurrent_masks(text_ids.shape[0], training, rng)
-    emb_text = nn.dropout(model.embedding.forward(text_ids), model.config.dropout_rate, training, rng)
-    emb_desc = nn.dropout(model.embedding.forward(desc_ids), model.config.dropout_rate, training, rng)
+    emb_text = _padded_embedding(model, text_ids, text_lengths, training, rng)
+    emb_desc = _padded_embedding(model, desc_ids, desc_lengths, training, rng)
     return model._from_embedded(emb_text, text_lengths, emb_desc, desc_lengths, masks, training, rng)
+
+
+def _padded_embedding(model: DualChannelModel, ids, lengths, training: bool, rng) -> Tensor:
+    """The embedding, with dropout, of the longest valid prefix (at least one column); zero columns fill the padded width."""
+    width = max(1, int(np.max(lengths, initial=0)))  # computed here: --inject-fault corrupts model.trim_length
+    dropped = nn.dropout(model.embedding.forward(ids[:, :width]), model.config.dropout_rate, training, rng)
+    zeros = np.zeros((ids.shape[0], ids.shape[1] - width, model.config.d_embed), dtype=dropped.data.dtype)
+    return nm.concat([dropped, Tensor(zeros)], axis=1)
 
 
 def gru_input_projections(cell: nn.GRUCell, x_seq: Tensor) -> tuple[Tensor, Tensor, Tensor]:
@@ -139,24 +147,21 @@ def bigru_oracle(
     backward_cell: nn.GRUCell,
     embedded: Tensor,
     lengths: np.ndarray,
-    forward_recurrent_mask: np.ndarray | None = None,
-    backward_recurrent_mask: np.ndarray | None = None,
+    recurrent_mask: np.ndarray | None = None,
 ) -> Tensor:
     """``nn.bigru_forward`` built op by op on the tape: the path ``nm.bigru_sequence`` must match byte for byte."""
     step_mask = nn._valid_mask(lengths, embedded.shape[1], embedded.data.dtype)
     batch, n_steps = embedded.shape[0], embedded.shape[1]
     directions = []
-    for cell, reverse, recurrent_mask in (
-        (forward_cell, False, forward_recurrent_mask),
-        (backward_cell, True, backward_recurrent_mask),
-    ):
+    for d, (cell, reverse) in enumerate(((forward_cell, False), (backward_cell, True))):
+        direction_mask = None if recurrent_mask is None else recurrent_mask[d]
         hidden = cell.hidden_size
         flat = [nm.reshape(p, (batch * n_steps, hidden)) for p in gru_input_projections(cell, embedded)]
         h = Tensor(np.zeros((batch, hidden), dtype=embedded.data.dtype))
         outputs: list[Tensor | None] = [None] * n_steps
         for t in range(n_steps - 1, -1, -1) if reverse else range(n_steps):
             rows = np.arange(batch) * n_steps + t
-            h_new = gru_step(cell, *(nm.embedding_gather(p, rows) for p in flat), h, recurrent_mask)
+            h_new = gru_step(cell, *(nm.embedding_gather(p, rows) for p in flat), h, direction_mask)
             # Padded steps emit zeros and reset the state.
             h = outputs[t] = nm.mul(h_new, step_mask[:, t : t + 1])
         # Reshaped after the loop: a state's output gradient then arrives before the next step's, as in the fused adjoint.
@@ -318,15 +323,15 @@ def _layer_cases(rng: np.random.Generator):
     emb = Tensor(rng.normal(size=(2, 5, 3)))
     lengths = np.array([5, 3])  # one padded example
 
-    def bigru_loss(cells, masks=()):
+    def bigru_loss(cells, recurrent_mask=None):
         def f():
-            h = nn.bigru_forward(*cells, emb, lengths, *masks)
+            h = nn.bigru_forward(*cells, emb, lengths, recurrent_mask)
             return total(nm.mul(h, h))
 
         return f
 
     cases.append(("bigru_forward", bigru_loss((fwd, bwd)), fwd.parameters() + bwd.parameters()))
-    drop = [nn.dropout_mask(rng, (2, 4), 0.3, dtype) for _ in range(2)]
+    drop = nn.dropout_mask(rng, (2, 2, 4), 0.3, dtype)
     cases.append(("bigru_forward_dropout", bigru_loss((fwd, bwd), drop), fwd.parameters() + bwd.parameters()))
 
     # ids avoid the padding row: it is pinned at zero by contract, so finite
@@ -425,13 +430,13 @@ def check_trimmed_forward(seed: int = 5) -> CheckResult:
     )
 
 
-def bigru_arrays(bigru, cells, x: Parameter, lengths, masks, weight: np.ndarray) -> list[np.ndarray]:
+def bigru_arrays(bigru, cells, x: Parameter, lengths, recurrent_mask, weight: np.ndarray) -> list[np.ndarray]:
     """Output, every parameter gradient and the input gradient of ``sum(bigru(...) * weight)``."""
     params = cells[0].parameters() + cells[1].parameters() + [x]
     for p in params:
         p.zero_grad()
     with Tape() as tape:
-        out = bigru(*cells, x, lengths, *masks)
+        out = bigru(*cells, x, lengths, recurrent_mask)
         loss = nm.sum_over_axis(nm.mul(out, weight), axis=None)
     nm.backward(loss, tape)
     return [out.data] + [p.grad for p in params]
@@ -456,9 +461,9 @@ def check_fused_gru(seed: int = 19) -> CheckResult:
                 for rate in (0.0, 0.3):
                     x = Parameter(rng.normal(size=(batch, n_steps, d)).astype(dtype), name="x")
                     weight = rng.normal(size=(batch, n_steps, 2 * hidden)).astype(dtype)
-                    masks = [nn.dropout_mask(rng, (batch, hidden), rate, dtype) for _ in range(2)] if rate else []
-                    fused = bigru_arrays(nn.bigru_forward, cells, x, np.array(lengths), masks, weight)
-                    oracle = bigru_arrays(bigru_oracle, cells, x, np.array(lengths), masks, weight)
+                    mask = nn.dropout_mask(rng, (2, batch, hidden), rate, dtype) if rate else None
+                    fused = bigru_arrays(nn.bigru_forward, cells, x, np.array(lengths), mask, weight)
+                    oracle = bigru_arrays(bigru_oracle, cells, x, np.array(lengths), mask, weight)
                     for produced, expected in zip(fused, oracle):
                         if produced.dtype != expected.dtype or produced.tobytes() != expected.tobytes():
                             differing += 1

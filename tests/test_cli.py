@@ -11,7 +11,7 @@ from descnet.cli import RunConfig, build_parser, build_run_config, main, parse_c
 from descnet.corpus import LabelSpace, build_vocabulary, load_dataset, load_vocabulary, split
 from descnet.descriptors import extract_descriptors, load_descriptors, save_descriptors
 from descnet.model import ModelConfig, load_checkpoint, predict, save_checkpoint
-from descnet.synth import marker_corpus, write_csv
+from descnet.synth import marker_corpus, news_like_corpus, write_csv
 
 FAST_FLAGS = [
     "--d-embed", "8", "--gru-units", "4", "--dropout-rate", "0.0", "--text-length", "10",
@@ -67,6 +67,16 @@ class TestExtractDescriptors:
             assert f"{name}: marker{chr(ord('a') + j)}" in out
         assert (tmp_path / "descriptors.tsv").exists()
         assert (tmp_path / "effective_config.cfg").exists()
+
+    def test_writes_the_descriptors_train_fits(self, tmp_path):
+        rows, names = news_like_corpus(400, seed=0)
+        write_csv(rows, tmp_path / "news.csv")
+        flags = ["--train-path", str(tmp_path / "news.csv"), "--labels", ",".join(names), *FAST_FLAGS,
+                 "--descriptor-dimension", "20", "--max-epochs", "1", "--text-length", "30", "--drop-overlength", "true"]
+        assert main(["extract-descriptors", *flags, "--out-dir", str(tmp_path / "extract")]) == 0
+        assert main(["train", *flags, "--out-dir", str(tmp_path / "train")]) == 0
+        extracted = (tmp_path / "extract" / "descriptors.tsv").read_bytes()
+        assert extracted == (tmp_path / "train" / "descriptors.tsv").read_bytes()
 
     def test_missing_input_file_exit_2(self, tmp_path, capsys):
         code = main([
@@ -285,6 +295,18 @@ class TestEvaluate:
 
 
 class TestPredict:
+    def test_bundle_without_descriptor_words_predicts(self, tmp_path, capsys):
+        # No word is in two documents, so no word is a descriptor candidate and descriptors.tsv is a bare header.
+        write_csv([("alpha beta", "a"), ("gamma delta", "b"), ("epsilon zeta", "a"), ("eta theta", "b")], tmp_path / "train.csv")
+        out = tmp_path / "out"
+        assert main(["train", "--train-path", str(tmp_path / "train.csv"), "--labels", "a,b", "--out-dir", str(out),
+                     *FAST_FLAGS, "--val-fraction", "0.25", "--max-epochs", "1"]) == 0
+        assert (out / "descriptors.tsv").read_text().count("\n") == 1
+        capsys.readouterr()
+        assert main(["predict", "--checkpoint-path", str(out / "checkpoint.bin"), "--text", "alpha gamma"]) == 0
+        label, _ = capsys.readouterr().out.strip().split("\t")
+        assert label in ("a", "b")
+
     def test_one_label_per_line_multi_class(self, trained, capsys):
         root, names, out = trained
         inputs = root / "inputs.txt"

@@ -59,17 +59,13 @@ def rewrite_header(path, edit):
 def tiny_setup(mode="multi_class", n_docs=60, n_classes=3, seed=0, **overrides):
     rows, label_names = marker_corpus(n_docs, n_classes=n_classes, n_noise=20, seed=seed)
     labels = LabelSpace(tuple(label_names), mode)
-    docs = to_documents(rows, labels) if mode == "multi_class" else _to_multilabel(rows, labels)
+    docs = to_documents(rows, labels)
     config = tiny_config(mode=mode, **overrides)
     vocab = build_vocabulary(docs, config.vocabulary_max)
     descriptors = extract_descriptors(docs, vocab, labels, config.descriptor_test, config.descriptor_dimension)
     examples = encode_examples(docs, vocab, descriptors, labels, config)
     model = DualChannelModel(config, len(vocab), len(labels))
     return model, examples, vocab, descriptors, labels, docs
-
-
-def _to_multilabel(rows, labels):
-    return to_documents(rows, labels)
 
 
 class TestForward:
@@ -206,9 +202,18 @@ class TestTrimmedForward:
     def test_extra_pad_columns_change_nothing(self, extra_text, extra_desc, seed):
         model = trim_model()
         text_ids, desc_ids = padded_batch(seed=seed)
-        base = model.forward(text_ids, desc_ids).data
-        wider = model.forward(np.pad(text_ids, ((0, 0), (0, extra_text))), np.pad(desc_ids, ((0, 0), (0, extra_desc))))
-        np.testing.assert_array_equal(wider.data, base)
+        wide_text, wide_desc = np.pad(text_ids, ((0, 0), (0, extra_text))), np.pad(desc_ids, ((0, 0), (0, extra_desc)))
+        np.testing.assert_array_equal(model.forward(wide_text, wide_desc).data, model.forward(text_ids, desc_ids).data)
+        # Training too: every dropout mask is drawn at the trimmed width.
+        model = trim_model(dropout=0.5)
+        targets = np.eye(3, dtype=np.float32)[[0, 1, 2, 0, 1, 2]]
+        loss, grads = training_gradients(DualChannelModel.forward, model, text_ids, desc_ids, targets, np.random.default_rng(seed))
+        wide_loss, wide_grads = training_gradients(
+            DualChannelModel.forward, model, wide_text, wide_desc, targets, np.random.default_rng(seed)
+        )
+        assert wide_loss == loss
+        for name, grad in grads.items():
+            assert wide_grads[name].tobytes() == grad.tobytes(), name
 
 
 class TestTrain:

@@ -141,10 +141,10 @@ class TestFusedGRU:
         cells = nn.GRUCell(d, hidden, rng, dtype, name="fwd"), nn.GRUCell(d, hidden, rng, dtype, name="bwd")
         x = Parameter(rng.normal(size=(batch, n_steps, d)).astype(dtype), name="x")
         lengths = rng.integers(0, n_steps + 1, size=batch)
-        masks = [nn.dropout_mask(rng, (batch, hidden), 0.4, dtype) for _ in range(2)] if dropout else []
+        mask = nn.dropout_mask(rng, (2, batch, hidden), 0.4, dtype) if dropout else None
         weight = rng.normal(size=(batch, n_steps, 2 * hidden)).astype(dtype)
-        fused = verify.bigru_arrays(nn.bigru_forward, cells, x, lengths, masks, weight)
-        oracle = verify.bigru_arrays(verify.bigru_oracle, cells, x, lengths, masks, weight)
+        fused = verify.bigru_arrays(nn.bigru_forward, cells, x, lengths, mask, weight)
+        oracle = verify.bigru_arrays(verify.bigru_oracle, cells, x, lengths, mask, weight)
         assert len(fused) == 2 * 9 + 2
         for produced, expected in zip(fused, oracle):
             assert produced.dtype == expected.dtype
@@ -154,9 +154,8 @@ class TestFusedGRU:
         rng = np.random.default_rng(40)
         fwd, bwd = nn.GRUCell(3, 4, rng, np.float32), nn.GRUCell(3, 4, rng, np.float32)
         emb = Parameter(rng.normal(size=(2, 7, 3)).astype(np.float32), name="emb")
-        masks = [nn.dropout_mask(rng, (2, 4), 0.5, np.float32) for _ in range(2)]
         with Tape() as tape:
-            nn.bigru_forward(fwd, bwd, emb, np.array([7, 3]), *masks)
+            nn.bigru_forward(fwd, bwd, emb, np.array([7, 3]), nn.dropout_mask(rng, (2, 2, 4), 0.5, np.float32))
         assert len(tape) == 1
 
     @pytest.mark.parametrize(
@@ -171,11 +170,12 @@ class TestFusedGRU:
         with pytest.raises(nm.ShapeError, match=rf"\(3, 4\).*{detail}"):
             nn.bigru_forward(fwd, bwd, emb, np.array([5, 2]))
 
-    def test_one_recurrent_mask_without_the_other_raises_shape_error(self):
+    def test_recurrent_mask_of_the_wrong_shape_raises_shape_error(self):
+        # A (batch, hidden) mask would otherwise broadcast to both directions.
         rng = np.random.default_rng(42)
         fwd, bwd = nn.GRUCell(3, 4, rng, np.float32), nn.GRUCell(3, 4, rng, np.float32)
         emb = Tensor(rng.normal(size=(2, 5, 3)).astype(np.float32))
-        with pytest.raises(nm.ShapeError, match="both recurrent masks or neither"):
+        with pytest.raises(nm.ShapeError, match=r"recurrent mask \(2, 4\), expected \(2, 2, 4\)"):
             nn.bigru_forward(fwd, bwd, emb, np.array([5, 2]), nn.dropout_mask(rng, (2, 4), 0.5, np.float32))
 
     def test_fused_check_catches_a_corrupted_bptt_alone(self, monkeypatch):
@@ -291,13 +291,12 @@ class TestDropout:
             nn.dropout(Tensor(np.ones(2)), 1.0, training=True, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_applies_the_mask_builder_cut_to_the_input(self, dtype):
-        # A trimmed input draws at the padded shape and keeps the mask's leading corner.
+    def test_applies_the_mask_builder_at_the_input_shape(self, dtype):
         x = Tensor(np.random.default_rng(1).normal(size=(3, 4, 2)).astype(dtype))
-        dropped = nn.dropout(x, 0.3, training=True, rng=np.random.default_rng(5), draw_shape=(3, 6, 2))
-        mask = nn.dropout_mask(np.random.default_rng(5), (3, 6, 2), 0.3, dtype)
+        dropped = nn.dropout(x, 0.3, training=True, rng=np.random.default_rng(5))
+        mask = nn.dropout_mask(np.random.default_rng(5), x.shape, 0.3, dtype)
         assert isinstance(mask, np.ndarray) and mask.dtype == dtype
-        assert dropped.data.tobytes() == (x.data * mask[:, :4]).tobytes()
+        assert dropped.data.tobytes() == (x.data * mask).tobytes()
 
 
 class TestLosses:
