@@ -3,8 +3,9 @@
 Builds a bundle of the benchmark's serve-short shape (a multi-label model,
 d_embed 64 and 64 GRU units, trained for one epoch on 256 documents of 1-2
 joined news-like docs), saves and reloads checkpoint, vocabulary and
-descriptors, scores 2,048 further documents in 128-document calls, selects a
-threshold, builds the evaluation report and predicts each document on its own.
+descriptors, scores 2,048 further documents in 128-document calls (each call
+runs length-sorted chunks of the model's batch size, 32), selects a threshold,
+builds the evaluation report and predicts each document on its own.
 It prints one digest over the checkpoint bytes, every batched score, the
 report's text and JSON and every single prediction, and the largest gap
 between a single prediction and its batched row. ``descnet`` is imported from

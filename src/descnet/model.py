@@ -204,13 +204,22 @@ def batch_arrays(examples: list[EncodedExample]) -> tuple[np.ndarray, np.ndarray
     return text, desc, targets
 
 
-def predict_probabilities(model: DualChannelModel, examples: list[EncodedExample], batch_size: int = 128) -> np.ndarray:
+def predict_probabilities(model: DualChannelModel, examples: list[EncodedExample]) -> np.ndarray:
+    """Inference-mode probabilities, shape ``(len(examples), n_classes)``, rows in input order.
+
+    Scores the examples, stably sorted by valid text length, in consecutive
+    chunks of ``config.batch_size``: each chunk's forward trims to lengths close
+    to its own instead of stepping every row to the longest document. A row can
+    differ in the last bits from the same document's row in another batch,
+    because BLAS picks its kernels by the product's shape.
+    """
     text, desc, _ = batch_arrays(examples)
-    rows = []
-    for start in range(0, len(examples), batch_size):
-        probs = model.forward(text[start : start + batch_size], desc[start : start + batch_size], training=False)
-        rows.append(probs.data)
-    return np.concatenate(rows, axis=0)
+    order = np.argsort((text != PAD_ID).sum(axis=1), kind="stable")
+    probs = np.empty((len(order), model.n_classes), dtype=model.dtype)
+    for start in range(0, len(order), model.config.batch_size):
+        idx = order[start : start + model.config.batch_size]
+        probs[idx] = model.forward(text[idx], desc[idx], training=False).data
+    return probs
 
 
 def _validation_metric(model: DualChannelModel, examples: list[EncodedExample]) -> float:

@@ -9,14 +9,14 @@ worst measured deviation against a fixed tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import metrics, nn
 from . import model as model_module
 from . import numerics as nm
-from .corpus import PAD_ID, Document, LabelSpace, Vocabulary, build_vocabulary
+from .corpus import PAD_ID, Document, EncodedExample, LabelSpace, Vocabulary, build_vocabulary
 from .descriptors import anova_f_score, build_contingency, score_tokens
 from .model import DualChannelModel, ModelConfig
 from .numerics import Parameter, Tape, Tensor, grad_check
@@ -401,7 +401,13 @@ def check_full_model_gradient(model_seed: int = 14, data_seed: int = 3) -> Check
 
 
 def check_trimmed_forward(seed: int = 5) -> CheckResult:
-    """The trimmed ``forward`` against :func:`padded_forward`, on a batch where both channels trim."""
+    """The trimmed ``forward`` against :func:`padded_forward`, on a batch where both channels trim.
+
+    Then every row of ``predict_probabilities`` over a mixed-length list (three
+    length-sorted chunks, an empty document included) against
+    :func:`padded_forward` of that example alone. Each chunk's longest text and
+    descriptor row has two or more tokens, so a trim that drops a step leaves one.
+    """
     rng = np.random.default_rng(seed)
     text_ids = rng.integers(1, 20, size=(3, 6))
     text_ids[:, 4:] = 0
@@ -419,14 +425,26 @@ def check_trimmed_forward(seed: int = 5) -> CheckResult:
     _, padded = training_gradients(padded_forward, model, text_ids, desc_ids, targets, padded_rng)
     worst_grad = max(relative_gap(trimmed[name], padded[name]) for name in padded)
     same_stream = trimmed_rng.bit_generator.state == padded_rng.bit_generator.state
-    passed = worst_prob <= 1e-12 and worst_grad <= 1e-10 and same_stream
+
+    model = toy_model()
+    model.config = replace(model.config, batch_size=3)
+    examples = [
+        EncodedExample(np.pad(rng.integers(1, 20, size=t), (0, 6 - t)), np.pad(rng.integers(1, 20, size=d), (0, 4 - d)), targets[0])
+        for t, d in [(3, 0), (0, 0), (6, 4), (2, 2), (5, 1), (1, 1), (4, 3)]
+    ]
+    scored = model_module.predict_probabilities(model, examples)
+    worst_row = max(
+        relative_gap(row, padded_forward(model, ex.text_ids[None], ex.descriptor_ids[None]).data[0])
+        for row, ex in zip(scored, examples)
+    )
+    passed = worst_prob <= 1e-12 and worst_row <= 1e-12 and worst_grad <= 1e-10 and same_stream
     return CheckResult(
         "trimmed forward vs padded-width oracle (f64 toy model)",
         passed,
-        max(worst_prob, worst_grad),
+        max(worst_prob, worst_row, worst_grad),
         1e-10,
-        f"probabilities {worst_prob:.1e} (tolerance 1e-12), gradients {worst_grad:.1e}, "
-        f"random stream {'kept' if same_stream else 'diverged'}",
+        f"probabilities {worst_prob:.1e}, sorted batched scoring {worst_row:.1e} (tolerance 1e-12), "
+        f"gradients {worst_grad:.1e}, random stream {'kept' if same_stream else 'diverged'}",
     )
 
 

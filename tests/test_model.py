@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descnet import nn, verify
-from descnet.corpus import LabelSpace, build_vocabulary
+from descnet.corpus import EncodedExample, LabelSpace, build_vocabulary
 from descnet.descriptors import extract_descriptors
 from descnet.errors import ArtifactError, DataError
 from descnet.numerics import Tape, backward
@@ -216,6 +216,49 @@ class TestTrimmedForward:
             assert wide_grads[name].tobytes() == grad.tobytes(), name
 
 
+def mixed_examples(n: int = 40, seed: int = 0) -> list[EncodedExample]:
+    """``n`` examples at ``trim_model``'s width with text lengths 0-24; the first is an empty document."""
+    rng = np.random.default_rng(seed)
+    text_ids, desc_ids = padded_batch(rng.integers(0, 25, size=n), rng.integers(0, 25, size=n), seed)
+    text_ids[0], desc_ids[0] = 0, 0
+    target = np.zeros(3, dtype=np.float32)
+    return [EncodedExample(text, desc, target) for text, desc in zip(text_ids, desc_ids)]
+
+
+class TestBatchedScoring:
+    """``predict_probabilities`` scores length-sorted chunks of ``config.batch_size`` and returns rows in input order."""
+
+    def test_reversed_input_gives_reversed_rows(self):
+        model, examples = trim_model(), mixed_examples()
+        forward = predict_probabilities(model, examples)
+        backward = predict_probabilities(model, examples[::-1])
+        np.testing.assert_allclose(backward, forward[::-1], rtol=0, atol=1e-6)
+
+    def test_forward_sees_length_sorted_chunks_of_batch_size(self, monkeypatch):
+        model, examples = trim_model(), mixed_examples()
+        seen = []
+        original = DualChannelModel.forward
+
+        def recording(self, text_ids, desc_ids, *args, **kwargs):
+            seen.append((text_ids != 0).sum(axis=1))
+            return original(self, text_ids, desc_ids, *args, **kwargs)
+
+        monkeypatch.setattr(DualChannelModel, "forward", recording)
+        predict_probabilities(model, examples)
+        assert [len(lengths) for lengths in seen] == [16, 16, 8]  # batch_size 16
+        assert np.all(np.diff(np.concatenate(seen)) >= 0)
+
+    def test_empty_document_and_one_example_list_score(self):
+        model, examples = trim_model(), mixed_examples()
+        probs = predict_probabilities(model, examples)
+        assert probs.shape == (40, 3) and probs.dtype == np.float32
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+        single = predict_probabilities(model, examples[:1])
+        expected = model.forward(examples[0].text_ids[None], examples[0].descriptor_ids[None]).data
+        assert single.tobytes() == expected.tobytes()
+        np.testing.assert_allclose(single[0], probs[0], rtol=0, atol=1e-6)
+
+
 class TestTrain:
     def test_patience_zero_runs_exactly_one_epoch(self):
         model, examples, *_ = tiny_setup(patience=0, max_epochs=5)
@@ -283,9 +326,10 @@ class TestPredict:
 
 
 class TestServingConsistency:
-    """Single-document ``predict`` against 128-doc batched scoring, on short joined multi-label documents.
+    """Single-document ``predict`` against one batched ``predict_probabilities`` call, on short joined multi-label documents.
 
-    A one-row forward runs matrix-vector BLAS kernels where a batch runs
+    The batched call scores length-sorted chunks of ``config.batch_size`` (32)
+    rows. A one-row forward runs matrix-vector BLAS kernels where a chunk runs
     matrix-matrix ones, so the two can differ in the last bits but must stay
     within 1e-6; and both must be byte-identical to the op-by-op GRU oracle.
     """
@@ -306,7 +350,7 @@ class TestServingConsistency:
         texts = [text for text, _ in rows[n_train:]]
 
         def scores():
-            batched = predict_probabilities(model, score_ex, batch_size=128)
+            batched = predict_probabilities(model, score_ex)
             single = np.stack([predict(model, vocab, desc, text, 0.5)[1] for text in texts])
             return batched, single
 
