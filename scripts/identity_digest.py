@@ -4,8 +4,11 @@ Trains the dual-channel model for one epoch on the news-like corpus of the
 benchmark's train-news workload (2,016 train / 500 validation / 1,000 held-out
 documents; text_length 40, d_embed 64, 64 GRU units, batch 32, 100 chi-square
 descriptors) and prints one digest over the batch losses, every parameter in
-``parameters()`` order and the held-out probabilities. ``descnet`` is imported
-from ``PYTHONPATH``, so the same script digests any checkout:
+``parameters()`` order and the held-out probabilities. The batches are the
+ones ``model.train`` draws: length-bucketed chunks of 32 (see
+``model.bucketed_batches``) in a seeded random order, so a change to the
+sampler changes the digest. ``descnet`` is imported from ``PYTHONPATH``, so
+the same script digests any checkout:
 
     PYTHONPATH=src python3 scripts/identity_digest.py --seed 1
     PYTHONPATH=/path/to/other/checkout/src python3 scripts/identity_digest.py --seed 1

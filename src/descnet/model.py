@@ -76,9 +76,29 @@ class ModelConfig:
         return self.descriptor_length if self.descriptor_length else self.text_length
 
 
+def valid_lengths(ids: np.ndarray) -> np.ndarray:
+    """Non-padding ids per row of a ``(rows, width)`` id matrix: the length of each row's valid prefix."""
+    return (ids != PAD_ID).sum(axis=1)
+
+
 def trim_length(lengths: np.ndarray) -> int:
     """Steps a batch with these valid lengths needs: its longest sequence, and at least one."""
     return max(1, int(np.max(lengths, initial=0)))
+
+
+def bucketed_batches(lengths: np.ndarray, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """One epoch's batches of row indices, in the order training visits them.
+
+    A random permutation, stably sorted by ``lengths`` (so equal lengths keep
+    their random order), is cut into consecutive chunks of ``batch_size``
+    (the last may be shorter), and the chunks are visited in a second random
+    order. Each batch then holds documents of similar length and the trim cuts
+    it close to its own width (sequence bucketing, Khomenko et al. 2017).
+    """
+    order = rng.permutation(len(lengths))
+    order = order[np.argsort(lengths[order], kind="stable")]
+    chunks = [order[start : start + batch_size] for start in range(0, len(order), batch_size)]
+    return [chunks[k] for k in rng.permutation(len(chunks))]
 
 
 @dataclass
@@ -143,8 +163,8 @@ class DualChannelModel:
         every row, and embedding dropout is drawn at that cut. The output, in
         training as in inference, does not depend on the padding width.
         """
-        text_lengths = (text_ids != PAD_ID).sum(axis=1)
-        desc_lengths = (desc_ids != PAD_ID).sum(axis=1)
+        text_lengths = valid_lengths(text_ids)
+        desc_lengths = valid_lengths(desc_ids)
         masks = self._recurrent_masks(text_ids.shape[0], training, rng)
         emb_text = self._embed(text_ids, text_lengths, training, rng)
         emb_desc = self._embed(desc_ids, desc_lengths, training, rng)
@@ -214,7 +234,7 @@ def predict_probabilities(model: DualChannelModel, examples: list[EncodedExample
     because BLAS picks its kernels by the product's shape.
     """
     text, desc, _ = batch_arrays(examples)
-    order = np.argsort((text != PAD_ID).sum(axis=1), kind="stable")
+    order = np.argsort(valid_lengths(text), kind="stable")
     probs = np.empty((len(order), model.n_classes), dtype=model.dtype)
     for start in range(0, len(order), model.config.batch_size):
         idx = order[start : start + model.config.batch_size]
@@ -237,14 +257,18 @@ def train(
 ) -> list[EpochStats]:
     """Mini-batch training with early stopping on the validation metric.
 
-    Keeps the best-validation parameters; stops after ``patience`` epochs
-    without improvement (patience 0 runs exactly one epoch) or at max_epochs.
-    Descriptors and vocabulary must come from the training split only.
+    Each epoch draws its batches with :func:`bucketed_batches`: documents of
+    similar valid text length share a batch, so the per-batch trim steps the
+    BiGRUs over little padding, and both the batches' makeup and their order
+    change from epoch to epoch. Keeps the best-validation parameters; stops
+    after ``patience`` epochs without improvement (patience 0 runs exactly one
+    epoch) or at max_epochs. Descriptors and vocabulary must come from the
+    training split only.
     """
     cfg = model.config
     rng = np.random.default_rng([cfg.seed, 1])
     text, desc, targets = batch_arrays(train_examples)
-    n = len(train_examples)
+    lengths = valid_lengths(text)
     params = model.parameters()
     # Adam's first and second moments, allocated here: filled inside the first step, they land among
     # that step's temporaries, and train-news steps measured 2-5% slower.
@@ -257,19 +281,15 @@ def train(
     model.history = []
 
     for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.permutation(n)
         batch_losses: list[float] = []
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
+        for k, idx in enumerate(bucketed_batches(lengths, cfg.batch_size, rng)):
             model.zero_grad()
             with Tape() as tape:
                 probs = model.forward(text[idx], desc[idx], training=True, rng=rng)
                 loss = model.loss(probs, targets[idx])
             loss_value = loss.item()
             if not np.isfinite(loss_value):
-                raise NonFiniteError(
-                    f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
-                )
+                raise NonFiniteError(f"non-finite loss at epoch {epoch}, batch {k}")
             nm.backward(loss, tape)
             step += 1
             nm.adam_step(params, moments, cfg.learning_rate, step_count=step)

@@ -16,7 +16,7 @@ import numpy as np
 from . import metrics, nn
 from . import model as model_module
 from . import numerics as nm
-from .corpus import PAD_ID, Document, EncodedExample, LabelSpace, Vocabulary, build_vocabulary
+from .corpus import Document, EncodedExample, LabelSpace, Vocabulary, build_vocabulary
 from .descriptors import anova_f_score, build_contingency, score_tokens
 from .model import DualChannelModel, ModelConfig
 from .numerics import Parameter, Tape, Tensor, grad_check
@@ -103,8 +103,8 @@ def auc_oracle(scores, labels) -> float:
 
 def padded_forward(model: DualChannelModel, text_ids, desc_ids, training: bool = False, rng=None) -> Tensor:
     """``DualChannelModel.forward`` without the trim: the BiGRUs, pools and attention run at the full padded width."""
-    text_lengths = (np.asarray(text_ids) != PAD_ID).sum(axis=1)
-    desc_lengths = (np.asarray(desc_ids) != PAD_ID).sum(axis=1)
+    text_lengths = model_module.valid_lengths(np.asarray(text_ids))
+    desc_lengths = model_module.valid_lengths(np.asarray(desc_ids))
     masks = model._recurrent_masks(text_ids.shape[0], training, rng)
     emb_text = _padded_embedding(model, text_ids, text_lengths, training, rng)
     emb_desc = _padded_embedding(model, desc_ids, desc_lengths, training, rng)

@@ -7,22 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from descnet import model as model_module
 from descnet import nn, verify
-from descnet.corpus import EncodedExample, LabelSpace, build_vocabulary
+from descnet.corpus import EncodedExample, LabelSpace, build_vocabulary, encode
 from descnet.descriptors import extract_descriptors
 from descnet.errors import ArtifactError, DataError
 from descnet.numerics import Tape, backward
 from descnet.model import (
     DualChannelModel,
     ModelConfig,
+    bucketed_batches,
     encode_examples,
     load_checkpoint,
     predict,
     predict_probabilities,
     save_checkpoint,
     train,
+    trim_length,
+    valid_lengths,
 )
-from descnet.synth import joined_news_corpus, marker_corpus, to_documents
+from descnet.synth import joined_news_corpus, marker_corpus, news_like_corpus, to_documents
 from descnet.verify import padded_forward, training_gradients
 
 
@@ -296,6 +300,75 @@ class TestTrain:
         restored = predict_probabilities(model, examples[70:])
         gold = np.stack([ex.target for ex in examples[70:]]).argmax(axis=1)
         assert (restored.argmax(axis=1) == gold).mean() == pytest.approx(best)
+
+
+class TestBucketedBatches:
+    """``train`` draws each epoch's batches with ``bucketed_batches``: length-sorted chunks visited in random order."""
+
+    LENGTHS = np.random.default_rng(3).integers(0, 12, size=75)  # 75 rows in batches of 16: four full and one of 11
+
+    def epochs(self, seed: int, n: int = 2) -> list[list[np.ndarray]]:
+        rng = np.random.default_rng(seed)
+        return [bucketed_batches(self.LENGTHS, 16, rng) for _ in range(n)]
+
+    def test_every_example_visited_once_per_epoch(self):
+        for batches in self.epochs(0, n=3):
+            assert sorted(np.concatenate(batches).tolist()) == list(range(75))
+            assert sorted(len(batch) for batch in batches) == [11, 16, 16, 16, 16]
+
+    def test_each_batch_is_a_contiguous_run_of_the_length_order(self):
+        for batches in self.epochs(0, n=3):
+            runs = sorted((self.LENGTHS[batch] for batch in batches), key=lambda run: (run.min(), run.max()))
+            assert np.all(np.diff(np.concatenate(runs)) >= 0)
+
+    def test_batches_and_their_order_change_between_epochs(self):
+        first, second = self.epochs(0)
+        assert {frozenset(b.tolist()) for b in first} != {frozenset(b.tolist()) for b in second}
+        # the k-th chunk of the length order has the same lengths every epoch, so its mean names it
+        visits = [[float(self.LENGTHS[batch].mean()) for batch in batches] for batches in (first, second)]
+        assert sorted(visits[0]) == sorted(visits[1]) and visits[0] != visits[1]
+
+    def test_same_seed_same_batches(self):
+        for a, b in zip(self.epochs(7), self.epochs(7)):
+            assert [batch.tolist() for batch in a] == [batch.tolist() for batch in b]
+
+    def test_train_steps_over_the_batches_it_draws(self, monkeypatch):
+        model, examples, *_ = tiny_setup(max_epochs=2, patience=2)
+        text = np.stack([ex.text_ids for ex in examples[:40]])
+        drawn, stepped = [], []
+        original_batches, original_forward = model_module.bucketed_batches, DualChannelModel.forward
+
+        def drawing(*args):
+            batches = original_batches(*args)
+            drawn.extend(batches)
+            return batches
+
+        def recording(self, text_ids, desc_ids, training=False, rng=None):
+            if training:
+                stepped.append(text_ids)
+            return original_forward(self, text_ids, desc_ids, training, rng)
+
+        monkeypatch.setattr(model_module, "bucketed_batches", drawing)
+        monkeypatch.setattr(DualChannelModel, "forward", recording)
+        train(model, examples[:40], examples[40:])
+        assert len(stepped) == len(drawn) == 2 * 3  # two epochs of 16, 16 and 8 rows
+        for idx, ids in zip(drawn, stepped):
+            np.testing.assert_array_equal(ids, text[idx])
+
+    def test_text_valid_fraction_at_the_train_news_shape(self):
+        """The benchmark's train-news batches step the text BiGRU over little padding (random batches: about 0.69)."""
+        rows, names = news_like_corpus(3516, topical_fraction=0.05, seed=1)
+        docs = to_documents(rows[:2016], LabelSpace(tuple(names), "multi_class"))
+        vocab = build_vocabulary(docs, ModelConfig.vocabulary_max)
+        lengths = valid_lengths(np.stack([encode(doc.tokens, vocab, 40) for doc in docs]))
+
+        def valid_fraction(batches):
+            return sum(lengths[b].sum() for b in batches) / sum(len(b) * trim_length(lengths[b]) for b in batches)
+
+        rng = np.random.default_rng(1)
+        order = rng.permutation(len(lengths))
+        assert valid_fraction([order[start : start + 32] for start in range(0, len(order), 32)]) < 0.75
+        assert valid_fraction(bucketed_batches(lengths, 32, rng)) >= 0.9
 
 
 class TestPredict:
