@@ -33,8 +33,6 @@ from .model import (
 from .numerics import NonFiniteError
 from .verify import run_all
 
-COMMANDS = ("extract-descriptors", "train", "evaluate", "predict", "verify")
-
 
 @dataclass
 class RunConfig(ModelConfig):
@@ -185,6 +183,12 @@ def cmd_train(config: RunConfig) -> int:
     train_docs, val_docs, vocab = _fit_documents(config, labels)
     if config.descriptor_path:
         descriptors = load_descriptors(config.descriptor_path)
+        foreign = [name for name in descriptors.class_names if name not in labels.names]
+        if foreign:
+            raise DataError(
+                f"{config.descriptor_path}: descriptors for class {foreign[0]!r}, "
+                f"which is not among the configured labels ({', '.join(labels.names)})"
+            )
     else:
         descriptors = _extract(config, train_docs, vocab, labels)
 
@@ -320,6 +324,15 @@ def cmd_verify(config: RunConfig, quick: bool = False, inject_fault: bool = Fals
     return 1 if failed else 0
 
 
+COMMANDS = {
+    "extract-descriptors": cmd_extract_descriptors,
+    "train": cmd_train,
+    "evaluate": cmd_evaluate,
+    "predict": cmd_predict,
+    "verify": cmd_verify,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="descnet",
@@ -345,15 +358,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = build_run_config(args)
-        if args.command == "extract-descriptors":
-            return cmd_extract_descriptors(config)
-        if args.command == "train":
-            return cmd_train(config)
-        if args.command == "evaluate":
-            return cmd_evaluate(config)
-        if args.command == "predict":
-            return cmd_predict(config)
-        return cmd_verify(config, quick=args.quick, inject_fault=args.inject_fault)
+        # A command's own flags (verify's --quick and --inject-fault) are its handler's keyword arguments.
+        own_flags = {k: v for k, v in vars(args).items() if k not in _FIELD_TYPES and k not in ("command", "config")}
+        return COMMANDS[args.command](config, **own_flags)
     except (DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

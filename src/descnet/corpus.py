@@ -76,10 +76,9 @@ class LabelSpace:
 
 @dataclass
 class Document:
-    """One record: raw text, its preprocessed tokens, and label indices."""
+    """One record: its preprocessed tokens and label indices."""
 
     id: int
-    text: str
     tokens: list[str]
     labels: frozenset[int]
 
@@ -103,7 +102,7 @@ def make_document(doc_id: int, text: str, label_names: list[str], label_space: L
         raise DataError(
             f"record {doc_id}: multi_class documents need exactly one label, got {sorted(label_names)}"
         )
-    return Document(id=doc_id, text=text, tokens=preprocess_text(text), labels=indices)
+    return Document(id=doc_id, tokens=preprocess_text(text), labels=indices)
 
 
 @dataclass
@@ -121,13 +120,9 @@ class Vocabulary:
 
     token_to_id: dict[str, int]
     id_to_token: list[str]
-    doc_frequency: dict[str, int]
 
     def __len__(self) -> int:
         return len(self.id_to_token)
-
-    def id_of(self, token: str) -> int:
-        return self.token_to_id.get(token, OOV_ID)
 
     def __contains__(self, token: str) -> bool:
         return token in self.token_to_id and self.token_to_id[token] >= 2
@@ -141,20 +136,12 @@ def build_vocabulary(corpus: list[Document], max_size: int) -> Vocabulary:
         raise DataError(f"max_size must be >= 3, got {max_size}")
 
     counts: Counter[str] = Counter()
-    doc_freq: Counter[str] = Counter()
     for doc in corpus:
         counts.update(doc.tokens)
-        doc_freq.update(set(doc.tokens))
 
     ranked = sorted(counts, key=lambda t: (-counts[t], t))[: max_size - 2]
-    token_to_id = {PAD_TOKEN: PAD_ID, OOV_TOKEN: OOV_ID}
-    id_to_token = [PAD_TOKEN, OOV_TOKEN]
-    frequencies = {PAD_TOKEN: 0, OOV_TOKEN: 0}
-    for tok in ranked:
-        token_to_id[tok] = len(id_to_token)
-        id_to_token.append(tok)
-        frequencies[tok] = doc_freq[tok]
-    return Vocabulary(token_to_id, id_to_token, frequencies)
+    id_to_token = [PAD_TOKEN, OOV_TOKEN, *ranked]
+    return Vocabulary({tok: idx for idx, tok in enumerate(id_to_token)}, id_to_token)
 
 
 def encode(tokens: list[str], vocab: Vocabulary, max_len: int) -> np.ndarray:
@@ -163,43 +150,44 @@ def encode(tokens: list[str], vocab: Vocabulary, max_len: int) -> np.ndarray:
         raise DataError(f"max_len must be >= 1, got {max_len}")
     ids = np.zeros(max_len, dtype=np.int64)
     for i, tok in enumerate(tokens[:max_len]):
-        ids[i] = vocab.id_of(tok)
+        ids[i] = vocab.token_to_id.get(tok, OOV_ID)
     return ids
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
+    """One ``token<TAB>id`` line per token, in id order."""
     with open(path, "w", encoding="utf-8") as fh:
         for idx, tok in enumerate(vocab.id_to_token):
-            fh.write(f"{tok}\t{idx}\t{vocab.doc_frequency.get(tok, 0)}\n")
+            fh.write(f"{tok}\t{idx}\n")
 
 
 def load_vocabulary(path) -> Vocabulary:
+    """The vocabulary ``save_vocabulary`` wrote; the ``token<TAB>id<TAB>doc_frequency``
+    lines of earlier versions load too, their third field unread."""
     token_to_id: dict[str, int] = {}
     id_to_token: list[str] = []
-    doc_frequency: dict[str, int] = {}
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}: line {lineno}: expected token<TAB>id<TAB>doc_frequency")
-            tok, id_str, df_str = parts
+            if len(parts) not in (2, 3):
+                raise DataError(f"{path}: line {lineno}: expected token<TAB>id")
+            tok, id_str = parts[:2]
             try:
-                idx, df = int(id_str), int(df_str)
+                idx = int(id_str)
             except ValueError:
-                raise DataError(f"{path}: line {lineno}: non-integer id or frequency")
+                raise DataError(f"{path}: line {lineno}: non-integer id")
             if idx != len(id_to_token):
                 raise DataError(f"{path}: line {lineno}: ids must be contiguous and sorted")
             if tok in token_to_id:
                 raise DataError(f"{path}: line {lineno}: token {tok!r} repeats id {token_to_id[tok]}")
             token_to_id[tok] = idx
             id_to_token.append(tok)
-            doc_frequency[tok] = df
     if len(id_to_token) < 2 or id_to_token[0] != PAD_TOKEN or id_to_token[1] != OOV_TOKEN:
         raise DataError(f"{path}: vocabulary must start with {PAD_TOKEN} and {OOV_TOKEN}")
-    return Vocabulary(token_to_id, id_to_token, doc_frequency)
+    return Vocabulary(token_to_id, id_to_token)
 
 
 def parse_label_cell(cell: str, mode: str) -> list[str]:

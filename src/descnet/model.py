@@ -274,8 +274,8 @@ def train(
     # that step's temporaries, and train-news steps measured 2-5% slower.
     moments = {p.name: (np.zeros_like(p.data), np.zeros_like(p.data)) for p in params}
 
-    best_metric = -np.inf
-    best_state = model.snapshot()
+    # Epoch 1 always sets best_state: the validation metric is finite and beats -inf.
+    best_metric, best_state = -np.inf, None
     epochs_without_improvement = 0
     step = 0
     model.history = []
@@ -457,7 +457,7 @@ def load_checkpoint(path) -> tuple[DualChannelModel, CheckpointMeta]:
             values = np.frombuffer(take(4 * count), dtype="<f4")
             if not np.isfinite(values).all():
                 raise ArtifactError(f"{path}: parameter {name!r} holds a non-finite value")
-            param.data[...] = values.reshape(shape).astype(np.float32)
+            param.data[...] = values.reshape(shape)
         if fh.read(1):
             raise ArtifactError(f"{path}: trailing bytes after parameter records")
     return model, meta

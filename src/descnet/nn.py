@@ -97,7 +97,6 @@ class GRUCell:
     """
 
     def __init__(self, input_dim: int, hidden_size: int, rng: np.random.Generator, dtype=np.float32, name: str = "gru"):
-        self.input_dim = input_dim
         self.hidden_size = hidden_size
 
         def w(gate):

@@ -58,8 +58,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "needs_grad")
 
-    def __init__(self, data, dtype=None, needs_grad: bool = False):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, needs_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
@@ -70,17 +70,13 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def precision(self) -> str:
-        return "f32" if self.data.dtype == np.float32 else "f64"
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item: tensor of shape {self.shape} is not scalar")
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, {self.precision})"
+        return f"Tensor(shape={self.shape}, {self.data.dtype})"
 
 
 class Parameter(Tensor):
@@ -88,15 +84,15 @@ class Parameter(Tensor):
 
     __slots__ = ("name",)
 
-    def __init__(self, data, name: str = "", dtype=None):
-        super().__init__(data, dtype=dtype, needs_grad=True)
+    def __init__(self, data, name: str = ""):
+        super().__init__(data, needs_grad=True)
         self.name = name
 
     def zero_grad(self) -> None:
         self.grad = None
 
     def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.shape}, {self.precision})"
+        return f"Parameter({self.name!r}, shape={self.shape}, {self.data.dtype})"
 
 
 _TAPE_STACK: list["Tape"] = []

@@ -202,7 +202,7 @@ def random_corpus(rng: np.random.Generator) -> tuple[list[Document], Vocabulary,
     for i in range(n_docs):
         j = i % n_classes  # guarantees every class is populated
         tokens = [pool[k] for k in rng.integers(0, len(pool), size=int(rng.integers(1, 9)))]
-        docs.append(Document(i, " ".join(tokens), tokens, frozenset([j])))
+        docs.append(Document(i, tokens, frozenset([j])))
     vocab = build_vocabulary(docs, max_size=len(pool) + 2)
     return docs, vocab, labels
 
@@ -244,10 +244,10 @@ def check_anova_equivalence(n_corpora: int = 1000, seed: int = 2025) -> CheckRes
 
 def check_worked_statistics() -> CheckResult:
     docs = [
-        Document(0, "cat cat", ["cat", "cat"], frozenset([0])),
-        Document(1, "cat", ["cat"], frozenset([0])),
-        Document(2, "dog", ["dog"], frozenset([1])),
-        Document(3, "dog dog", ["dog", "dog"], frozenset([1])),
+        Document(0, ["cat", "cat"], frozenset([0])),
+        Document(1, ["cat"], frozenset([0])),
+        Document(2, ["dog"], frozenset([1])),
+        Document(3, ["dog", "dog"], frozenset([1])),
     ]
     labels = LabelSpace(("A", "B"), "multi_class")
     vocab = build_vocabulary(docs, max_size=10)

@@ -1,6 +1,7 @@
 import json
 import shutil
 import struct
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from descnet import metrics
 from descnet.cli import RunConfig, build_parser, build_run_config, main, parse_config_file
 from descnet.corpus import LabelSpace, build_vocabulary, load_dataset, load_vocabulary, split
 from descnet.descriptors import extract_descriptors, load_descriptors, save_descriptors
-from descnet.model import ModelConfig, load_checkpoint, predict, save_checkpoint
+from descnet.model import ModelConfig, file_sha256, load_checkpoint, predict, save_checkpoint
 from descnet.synth import marker_corpus, news_like_corpus, write_csv
 
 FAST_FLAGS = [
@@ -191,6 +192,26 @@ class TestTrain:
         assert code == 0
         # the bundle re-saves the descriptor set it actually used
         assert (out / "descriptors.tsv").read_bytes() == (desc_out / "descriptors.tsv").read_bytes()
+
+    def test_descriptor_file_of_other_labels_exit_2(self, corpus_dir, tmp_path, capsys):
+        """A descriptor file extracted for another dataset's classes is refused, naming the file and its first foreign class."""
+        root, names = corpus_dir
+        rows, news_names = news_like_corpus(60, seed=3)
+        write_csv(rows, tmp_path / "news.csv")
+        desc_out = tmp_path / "desc"
+        assert main([
+            "extract-descriptors", "--train-path", str(tmp_path / "news.csv"), "--labels", ",".join(news_names),
+            "--descriptor-dimension", "1", "--out-dir", str(desc_out),
+        ]) == 0
+        capsys.readouterr()
+        path = desc_out / "descriptors.tsv"
+        out = tmp_path / "out"
+        assert main(train_args(root, names, out, extra=["--descriptor-path", str(path), "--max-epochs", "1"])) == 2
+        assert f"error: {path}: descriptors for class 'desk0', which is not among the configured labels" in capsys.readouterr().err
+        assert not (out / "checkpoint.bin").exists()
+        # a header-only file names no class, so it names no foreign one
+        path.write_text("#test=chi2 n=1\n")
+        assert main(train_args(root, names, out, extra=["--descriptor-path", str(path), "--max-epochs", "1"])) == 0
 
     def test_drop_overlength_removes_long_training_docs(self, tmp_path):
         rows = [("short text alpha", "a"), ("longwordone " * 30 + "uniquelongtoken", "b"),
@@ -557,6 +578,35 @@ def predict_with(trained, checkpoint) -> int:
         "predict", "--checkpoint-path", str(checkpoint), "--vocab-path", str(out / "vocab.tsv"),
         "--descriptor-path", str(out / "descriptors.tsv"), "--text", "markera",
     ])
+
+
+class TestEarlierVocabularyFormat:
+    def test_three_column_bundle_evaluates_and_predicts_byte_identically(self, trained, tmp_path, capsys):
+        """A bundle whose vocab.tsv has the third doc_frequency column earlier versions wrote, hashed into its checkpoint."""
+        root, names, out = trained
+        legacy = tmp_path / "legacy"
+        legacy.mkdir()
+        train_docs, _ = split(load_dataset(root / "train.csv", "csv", LabelSpace(tuple(names), "multi_class")), RunConfig.val_fraction, 7)
+        doc_frequency = Counter(tok for doc in train_docs for tok in set(doc.tokens))
+        lines = [line.split("\t") for line in (out / "vocab.tsv").read_text().splitlines()]
+        (legacy / "vocab.tsv").write_text("".join(f"{tok}\t{idx}\t{doc_frequency[tok]}\n" for tok, idx in lines))
+        shutil.copy(out / "descriptors.tsv", legacy / "descriptors.tsv")
+        vocab_sha256 = file_sha256(legacy / "vocab.tsv")
+        assert vocab_sha256 != file_sha256(out / "vocab.tsv")
+        rewritten_header(trained, legacy / "checkpoint.bin", lambda header: header.update(vocab_sha256=vocab_sha256))
+
+        outputs = []
+        for bundle in (out, legacy):
+            report_dir = tmp_path / f"report_{bundle.name}"
+            assert main([
+                "evaluate", "--checkpoint-path", str(bundle / "checkpoint.bin"),
+                "--test-path", str(root / "test.csv"), "--out-dir", str(report_dir),
+            ]) == 0
+            assert main([
+                "predict", "--checkpoint-path", str(bundle / "checkpoint.bin"), "--input-path", str(root / "test.csv"),
+            ]) == 0
+            outputs.append((capsys.readouterr().out, (report_dir / "report.json").read_bytes()))
+        assert outputs[1] == outputs[0]
 
 
 class TestBundleMismatch:

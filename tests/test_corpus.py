@@ -20,11 +20,12 @@ from descnet.corpus import (
     save_vocabulary,
     split,
 )
+from descnet.descriptors import build_contingency
 from descnet.errors import DataError
 
 
 def docs_from_texts(texts, label=0, n_labels=1):
-    return [Document(i, t, preprocess_text(t), frozenset([label])) for i, t in enumerate(texts)]
+    return [Document(i, preprocess_text(t), frozenset([label])) for i, t in enumerate(texts)]
 
 
 class TestPreprocess:
@@ -77,10 +78,12 @@ class TestVocabulary:
             build_vocabulary([], max_size=5)
 
     def test_doc_frequency_counts_documents(self):
+        """Document frequency is counted once, by the contingency table over the vocabulary's tokens."""
         docs = docs_from_texts(["a a b", "a c"])
         vocab = build_vocabulary(docs, max_size=10)
-        assert vocab.doc_frequency["a"] == 2
-        assert vocab.doc_frequency["b"] == 1
+        doc_frequency = build_contingency(docs, vocab, LabelSpace(("A",), "multi_class")).doc_frequency
+        assert doc_frequency["a"] == 2
+        assert doc_frequency["b"] == 1
 
     def test_mutual_inverse_maps(self):
         docs = docs_from_texts(["x y z z"])
@@ -94,7 +97,7 @@ class TestVocabulary:
         st.integers(min_value=3, max_value=12),
     )
     def test_retains_min_of_distinct_and_capacity(self, token_lists, max_size):
-        docs = [Document(i, "", list(toks), frozenset([0])) for i, toks in enumerate(token_lists)]
+        docs = [Document(i, list(toks), frozenset([0])) for i, toks in enumerate(token_lists)]
         vocab = build_vocabulary(docs, max_size)
         distinct = len({t for toks in token_lists for t in toks})
         assert len(vocab) - 2 == min(distinct, max_size - 2)
@@ -107,7 +110,16 @@ class TestVocabulary:
         loaded = load_vocabulary(path)
         assert loaded.token_to_id == vocab.token_to_id
         assert loaded.id_to_token == vocab.id_to_token
-        assert loaded.doc_frequency == vocab.doc_frequency
+        assert loaded == vocab
+        assert path.read_text().splitlines() == [f"{tok}\t{idx}" for idx, tok in enumerate(vocab.id_to_token)]
+
+    def test_loads_the_three_column_form_of_earlier_versions(self, tmp_path):
+        """Earlier versions wrote ``token<TAB>id<TAB>doc_frequency``; the third field is not read."""
+        docs = docs_from_texts(["alpha beta beta gamma"])
+        vocab = build_vocabulary(docs, max_size=10)
+        path = tmp_path / "vocab.tsv"
+        path.write_text("".join(f"{tok}\t{idx}\t{idx % 3}\n" for idx, tok in enumerate(vocab.id_to_token)))
+        assert load_vocabulary(path) == vocab
 
     def test_load_rejects_malformed_line(self, tmp_path):
         path = tmp_path / "vocab.tsv"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from descnet.corpus import Document, LabelSpace, build_vocabulary, encode, preprocess_text
+from descnet.corpus import OOV_ID, Document, LabelSpace, build_vocabulary, encode, preprocess_text
 from descnet.descriptors import (
     ClassDescriptorSet,
     _chi2_from_table,
@@ -23,7 +23,7 @@ from descnet.verify import anova_groups, anova_oracle, chi2_oracle, presence_tab
 
 def make_docs(texts_and_labels, label_space):
     return [
-        Document(i, text, preprocess_text(text), frozenset(labels))
+        Document(i, preprocess_text(text), frozenset(labels))
         for i, (text, labels) in enumerate(texts_and_labels)
     ]
 
@@ -238,13 +238,14 @@ class TestExtractDescriptors:
 
     def test_scores_non_increasing_and_df_positive(self):
         docs, vocab, labels = self.marker_setup()
+        doc_frequency = build_contingency(docs, vocab, labels).doc_frequency
         for test in ("chi2", "anova"):
             dset = extract_descriptors(docs, vocab, labels, test, n=5)
             for class_entries in dset.entries:
                 scores = [s for _, s in class_entries]
                 assert scores == sorted(scores, reverse=True)
                 for tok, _ in class_entries:
-                    assert vocab.doc_frequency[tok] >= 1
+                    assert doc_frequency[tok] >= 1
 
     def test_min_doc_frequency_excludes_hapax(self):
         labels = LabelSpace(("A", "B"), "multi_class")
@@ -329,7 +330,7 @@ class TestDescriptorChannelInput:
         vocab = build_vocabulary(docs, max_size=20)
         dset = self.make_set(union, vocab) if union else ClassDescriptorSet("chi2", 1, ("A",), [[]])
         out = build_descriptor_channel_input(tokens, dset, vocab, 20)
-        text_ids = [vocab.id_of(t) for t in tokens]
+        text_ids = [vocab.token_to_id.get(t, OOV_ID) for t in tokens]
         filtered = [i for i in out.tolist() if i != 0]
         it = iter(text_ids)
         assert all(any(x == want for x in it) for want in filtered)

@@ -293,6 +293,15 @@ class TestTrain:
         accuracy = (probs.argmax(axis=1) == gold).mean()
         assert accuracy >= 0.95
 
+    def test_one_epoch_takes_one_snapshot(self, monkeypatch):
+        """Epoch 1 always improves on no epoch, so its snapshot is the only one; none is taken before it."""
+        calls = []
+        snapshot = DualChannelModel.snapshot
+        monkeypatch.setattr(DualChannelModel, "snapshot", lambda self: calls.append(1) or snapshot(self))
+        model, examples, *_ = tiny_setup(patience=0, max_epochs=5)
+        train(model, examples[:40], examples[40:])
+        assert len(calls) == 1
+
     def test_best_validation_parameters_kept(self):
         model, examples, *_ = tiny_setup(n_docs=90, max_epochs=4)
         history = train(model, examples[:70], examples[70:])
@@ -375,21 +384,21 @@ class TestPredict:
     def test_multi_class_argmax(self):
         model, examples, vocab, descriptors, labels, docs = tiny_setup(n_docs=120, max_epochs=8, learning_rate=1e-2)
         train(model, examples[:100], examples[100:])
-        picked, probs = predict(model, vocab, descriptors, docs[0].text)
+        picked, probs = predict(model, vocab, descriptors, " ".join(docs[0].tokens))
         assert picked == [int(probs.argmax())]
         assert len(picked) == 1
 
     def test_multi_label_threshold_rules(self):
         model, examples, vocab, descriptors, labels, docs = tiny_setup(mode="multi_label")
-        picked, probs = predict(model, vocab, descriptors, docs[0].text, threshold=0.0)
+        picked, probs = predict(model, vocab, descriptors, " ".join(docs[0].tokens), threshold=0.0)
         assert picked == list(range(len(labels)))  # everything above 0
-        picked_high, _ = predict(model, vocab, descriptors, docs[0].text, threshold=0.999999)
+        picked_high, _ = predict(model, vocab, descriptors, " ".join(docs[0].tokens), threshold=0.999999)
         assert picked_high == []
 
     def test_multi_label_requires_threshold(self):
         model, examples, vocab, descriptors, labels, docs = tiny_setup(mode="multi_label")
         with pytest.raises(DataError, match="threshold"):
-            predict(model, vocab, descriptors, docs[0].text)
+            predict(model, vocab, descriptors, " ".join(docs[0].tokens))
 
     def test_empty_text_is_valid_input(self):
         model, examples, vocab, descriptors, labels, docs = tiny_setup()
