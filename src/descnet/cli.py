@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -176,11 +176,8 @@ def cmd_extract_descriptors(config: RunConfig) -> int:
 
 def cmd_train(config: RunConfig) -> int:
     _require(config, "train_path", "labels")
-    out_dir = echo_config(config)
     labels = config.label_space()
-    model_config = config.model_config()
-
-    train_docs, val_docs, vocab = _fit_documents(config, labels)
+    descriptors = None
     if config.descriptor_path:
         descriptors = load_descriptors(config.descriptor_path)
         foreign = [name for name in descriptors.class_names if name not in labels.names]
@@ -189,7 +186,13 @@ def cmd_train(config: RunConfig) -> int:
                 f"{config.descriptor_path}: descriptors for class {foreign[0]!r}, "
                 f"which is not among the configured labels ({', '.join(labels.names)})"
             )
-    else:
+        # The run records how its descriptors were chosen: the file's test and n, not the configured ones.
+        config = replace(config, descriptor_test=descriptors.test, descriptor_dimension=descriptors.dimension)
+    out_dir = echo_config(config)
+    model_config = config.model_config()
+
+    train_docs, val_docs, vocab = _fit_documents(config, labels)
+    if descriptors is None:
         descriptors = _extract(config, train_docs, vocab, labels)
 
     train_examples = encode_examples(train_docs, vocab, descriptors, labels, model_config)

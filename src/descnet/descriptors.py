@@ -241,6 +241,8 @@ def load_descriptors(path) -> ClassDescriptorSet:
         if not match:
             raise DataError(f"{path}: line 1: expected '#test=<{'|'.join(TESTS)}> n=<int>' header")
         test, n = match.group(1), int(match.group(2))
+        if n < 1:
+            raise DataError(f"{path}: line 1: n must be >= 1")
         class_names: list[str] = []
         entries: list[list[tuple[str, float]]] = []
         for lineno, line in enumerate(fh, start=2):

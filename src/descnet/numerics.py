@@ -131,9 +131,9 @@ def _emit(data: np.ndarray, inputs: Sequence[Tensor], backward_fn) -> Tensor:
 
 
 def _grad(t: Tensor) -> np.ndarray:
-    """``t.grad``, allocated as zeros on first use."""
+    """``t.grad``, allocated as C-ordered zeros on first use (``embedding_gather`` scatters into a flat view of it)."""
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
+        t.grad = np.zeros(t.data.shape, t.data.dtype)
     return t.grad
 
 
@@ -203,7 +203,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g):
         if a.needs_grad:
-            _accum(a, g @ b.data.T)
+            _accum(a, g @ np.ascontiguousarray(b.data.T))
         if b.needs_grad:
             flat_a = a.data.reshape(-1, a.shape[-1])
             flat_g = g.reshape(-1, g.shape[-1])
@@ -311,10 +311,12 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def embedding_gather(table: Tensor, ids: np.ndarray, padding_id: int | None = None) -> Tensor:
-    """Row lookup ``table[ids]``. Rows equal to ``padding_id`` get no gradient."""
+    """Row lookup ``table[ids]`` in a 2-D table. Rows equal to ``padding_id`` get no gradient."""
     ids = np.asarray(ids)
     if not np.issubdtype(ids.dtype, np.integer):
         raise ShapeError("embedding_gather: ids must be integers")
+    if table.data.ndim != 2:
+        raise ShapeError(f"embedding_gather: table of shape {table.shape} is not 2-D")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ShapeError(
             f"embedding_gather: id out of range for table with {table.shape[0]} rows"
@@ -323,11 +325,16 @@ def embedding_gather(table: Tensor, ids: np.ndarray, padding_id: int | None = No
 
     def backward_fn(g):
         if table.needs_grad:
-            if padding_id is None:
-                np.add.at(_grad(table), ids, g)
-            else:
+            rows, g_rows = ids, g
+            if padding_id is not None:
                 keep = ids != padding_id
-                np.add.at(_grad(table), ids[keep], g[keep])
+                rows, g_rows = ids[keep], g[keep]
+            # One 1-D scatter, one index per element, runs on numpy's fast path.
+            # Each element gets the additions of the row form
+            # ``np.add.at(grad, rows, g_rows)`` in the same order: the same bytes.
+            dim = table.shape[1]
+            flat_ids = (rows.reshape(-1, 1) * dim + np.arange(dim)).reshape(-1)
+            np.add.at(_grad(table).reshape(-1), flat_ids, g_rows.reshape(-1))
 
     return _emit(data, (table,), backward_fn)
 
@@ -383,9 +390,10 @@ def bigru_sequence(
     only while a tape records.
     """
     cells = (forward_weights, backward_weights)
-    fits = [f"W_z {w[0].shape}, U_z {w[1].shape}, {w[0].data.dtype}" for w in cells]
+    fits = [(w[0].shape, w[1].shape, w[0].data.dtype) for w in cells]
     if fits[0] != fits[1]:
-        raise ShapeError(f"bigru_sequence: forward cell ({fits[0]}) and backward cell ({fits[1]}) differ")
+        shown = [f"W_z {W_z}, U_z {U_z}, {dtype}" for W_z, U_z, dtype in fits]
+        raise ShapeError(f"bigru_sequence: forward cell ({shown[0]}) and backward cell ({shown[1]}) differ")
     (n_in, hidden), dtype = forward_weights[0].shape, forward_weights[0].data.dtype
     if x.data.ndim != 3 or x.shape[2] != n_in or x.data.dtype != dtype:
         raise ShapeError(f"bigru_sequence: input {x.shape} {x.data.dtype} does not fit W_z {(n_in, hidden)} {dtype}")
@@ -428,7 +436,7 @@ def bigru_sequence(
         # g_proj[s, gate, d]: the pre-activation adjoints of direction d's s-th step.
         g_proj = np.empty((n_steps, 3, 2, batch, hidden), dtype=dtype)
         g_U = np.zeros((3, 2, hidden, hidden), dtype=dtype)
-        U_zr_t, U_h_t = U_zr.transpose(0, 1, 3, 2), U_h.transpose(0, 2, 1)
+        U_zr_t, U_h_t = np.ascontiguousarray(U_zr.transpose(0, 1, 3, 2)), np.ascontiguousarray(U_h.transpose(0, 2, 1))
         g_state = g_out[-1]
         for s in range(n_steps - 1, -1, -1):
             g_state = _gru_step_adjoint(g_state * step_masks[s], g_out[s - 1] if s else None, saved[s], recurrent_mask, U_zr_t, U_h_t, g_proj[s])
@@ -442,7 +450,7 @@ def bigru_sequence(
                 g_p = np.ascontiguousarray((g_proj[::-1] if d else g_proj)[:, gate, d].transpose(1, 0, 2))
                 _accum(b, _unbroadcast(g_p, b.shape))
                 if x.needs_grad:
-                    _accum(x, g_p @ W.data.T)
+                    _accum(x, g_p @ np.ascontiguousarray(W.data.T))
                 _accum(W, flat_x.T @ g_p.reshape(-1, hidden))
                 _accum(U, g_U[gate, d])
 

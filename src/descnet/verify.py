@@ -335,9 +335,10 @@ def _layer_cases(rng: np.random.Generator):
     cases.append(("bigru_forward_dropout", bigru_loss((fwd, bwd), drop), fwd.parameters() + bwd.parameters()))
 
     # ids avoid the padding row: it is pinned at zero by contract, so finite
-    # differences on it would measure a constraint, not a gradient.
+    # differences on it would measure a constraint, not a gradient. Rows 2 and
+    # 6 repeat, so the scatter must sum every contribution to a row.
     embedding = nn.EmbeddingLayer(7, 3, rng, dtype, name="emb")
-    ids = np.array([[1, 2, 4], [3, 6, 5]])
+    ids = np.array([[1, 2, 6, 2], [3, 6, 5, 2]])
     cases.append(("embedding", lambda: total(nm.tanh(embedding.forward(ids))), embedding.parameters()))
 
     attn = nn.AttentionLayer(4, 4, rng, dtype, name="attn")
@@ -465,11 +466,14 @@ def check_fused_gru(seed: int = 19) -> CheckResult:
 
     Shapes include a single row, one step, one input feature and one hidden
     unit, where BLAS switches from matrix-matrix to matrix-vector kernels;
-    lengths include 0, 1 and the full width; each case runs with and
-    without recurrent dropout, in float32 and float64.
+    products of 18 rows or fewer and of 19 or more, where the matrix-matrix
+    kernel changes (the adjoint's per-step products have ``batch`` rows, its
+    x-gradient products ``steps`` rows); lengths include 0, 1 and the full
+    width; each case runs with and without recurrent dropout, in float32 and
+    float64. Shapes are appended at the end, so earlier cases keep their draws.
     """
     rng = np.random.default_rng(seed)
-    shapes = [(1, 5, 3, 4), (2, 5, 3, 4), (32, 6, 8, 8), (2, 1, 3, 4), (2, 5, 1, 4), (2, 5, 3, 1)]
+    shapes = [(1, 5, 3, 4), (2, 5, 3, 4), (32, 6, 8, 8), (2, 1, 3, 4), (2, 5, 1, 4), (2, 5, 3, 1), (3, 20, 4, 8), (19, 4, 3, 64)]
     cases, differing, worst = 0, 0, 0.0
     for dtype in (np.float32, np.float64):
         for batch, n_steps, d, hidden in shapes:

@@ -193,6 +193,33 @@ class TestTrain:
         # the bundle re-saves the descriptor set it actually used
         assert (out / "descriptors.tsv").read_bytes() == (desc_out / "descriptors.tsv").read_bytes()
 
+    def test_descriptor_file_sets_the_recorded_test_and_dimension(self, corpus_dir, tmp_path):
+        """The bundle states how its descriptors were chosen: the file's test and n, not the configured chi2 and n=1."""
+        root, names = corpus_dir
+        desc_out = tmp_path / "desc"
+        assert main([
+            "extract-descriptors", "--train-path", str(root / "train.csv"), "--labels", ",".join(names),
+            "--descriptor-test", "anova", "--descriptor-dimension", "3", "--out-dir", str(desc_out),
+        ]) == 0
+        assert (desc_out / "descriptors.tsv").read_text().startswith("#test=anova n=3\n")
+        out = tmp_path / "out"
+        assert main(train_args(root, names, out, extra=[
+            "--descriptor-path", str(desc_out / "descriptors.tsv"), "--max-epochs", "1",
+        ])) == 0
+        echoed = (out / "effective_config.cfg").read_text().splitlines()
+        assert "descriptor_test = anova" in echoed and "descriptor_dimension = 3" in echoed
+        data = (out / "checkpoint.bin").read_bytes()
+        (header_len,) = struct.unpack("<Q", data[8:16])
+        config = json.loads(data[16 : 16 + header_len])["config"]
+        assert (config["descriptor_test"], config["descriptor_dimension"]) == ("anova", 3)
+
+    def test_descriptor_file_with_n_0_exit_2(self, corpus_dir, tmp_path, capsys):
+        root, names = corpus_dir
+        path = tmp_path / "descriptors.tsv"
+        path.write_text("#test=chi2 n=0\n")
+        assert main(train_args(root, names, tmp_path / "out", extra=["--descriptor-path", str(path)])) == 2
+        assert f"error: {path}: line 1: n must be >= 1" in capsys.readouterr().err
+
     def test_descriptor_file_of_other_labels_exit_2(self, corpus_dir, tmp_path, capsys):
         """A descriptor file extracted for another dataset's classes is refused, naming the file and its first foreign class."""
         root, names = corpus_dir

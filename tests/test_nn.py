@@ -361,6 +361,22 @@ class TestEmbedding:
         assert np.any(layer.table.data[1] != 0.0)
 
 
+    def test_layer_check_catches_a_scatter_that_drops_repeated_ids(self, monkeypatch):
+        def buffered_gather(table, ids, padding_id=None):
+            # ``grad[ids] += g`` stores one sum per repeated row: the last contribution wins.
+            def backward_fn(g):
+                keep = ids != padding_id
+                nm._grad(table)[ids[keep]] += g[keep]
+
+            return nm._emit(table.data[ids], (table,), backward_fn)
+
+        assert verify.check_layer_gradients().passed
+        monkeypatch.setattr(nm, "embedding_gather", buffered_gather)
+        result = verify.check_layer_gradients()
+        assert not result.passed
+        assert result.detail == "worst: embedding"
+
+
 class TestPretrainedLoader:
     def test_covered_tokens_overwritten_others_random(self, tmp_path):
         rng = np.random.default_rng(16)

@@ -256,6 +256,62 @@ class TestGradCheckPrimitives:
         np.testing.assert_array_equal(table.grad[1], [1.0, 1.0])
 
 
+def row_scatter(grad, ids, g, padding_id):
+    """The row-form ``np.add.at`` that ``embedding_gather``'s adjoint replaced, kept as its oracle."""
+    keep = np.ones(ids.shape, dtype=bool) if padding_id is None else ids != padding_id
+    np.add.at(grad, ids[keep], g[keep])
+
+
+class TestEmbeddingScatter:
+    """``embedding_gather``'s one flat-index scatter against the row-form oracle, byte for byte."""
+
+    CHANNELS = {
+        "repeats": lambda rng: [rng.integers(1, 3, size=(4, 6))],
+        "padding": lambda rng: [rng.integers(0, 5, size=(4, 6))],
+        "all_padding": lambda rng: [np.zeros((3, 4), dtype=np.int64)],
+        "no_padding_id": lambda rng: [rng.integers(0, 5, size=(4, 6))],
+        "two_channels": lambda rng: [rng.integers(0, 5, size=(4, 6)), rng.integers(0, 3, size=(4, 3))],
+    }
+
+    @staticmethod
+    def _compare(rng, dtype, channels, padding_id, n_rows, dim):
+        table = Parameter(rng.normal(size=(n_rows, dim)).astype(dtype), name="table")
+        prior = rng.normal(size=(n_rows, dim)).astype(dtype)
+        weights = [rng.normal(size=ids.shape + (dim,)).astype(dtype) for ids in channels]
+        table.grad = prior.copy()
+        with Tape() as tape:
+            terms = [scalar_sum(nm.mul(nm.embedding_gather(table, ids, padding_id), w)) for ids, w in zip(channels, weights)]
+            loss = terms[0] if len(terms) == 1 else nm.add(*terms)
+        backward(loss, tape)
+        # Each gather's upstream gradient is exactly its weights; the tape replays the later channel's gather first.
+        expected = prior.copy()
+        for ids, w in reversed(list(zip(channels, weights))):
+            row_scatter(expected, ids, w, padding_id)
+        assert table.grad.dtype == expected.dtype
+        assert table.grad.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", list(CHANNELS))
+    def test_byte_identical_to_row_form(self, dtype, case):
+        rng = np.random.default_rng(zlib.crc32(case.encode()))
+        channels = self.CHANNELS[case](rng)
+        self._compare(rng, dtype, channels, None if case == "no_padding_id" else 0, 5, 7)
+
+    def test_byte_identical_to_row_form_on_random_draws(self):
+        rng = np.random.default_rng(26)
+        for _ in range(200):
+            n_rows, dim = int(rng.integers(1, 8)), int(rng.integers(1, 9))
+            shapes = [tuple(rng.integers(1, 6, size=int(rng.integers(1, 3)))) for _ in range(int(rng.integers(1, 3)))]
+            channels = [rng.integers(0, n_rows, size=shape) for shape in shapes]
+            padding_id = None if rng.random() < 0.3 else int(rng.integers(0, n_rows))
+            self._compare(rng, rng.choice([np.float32, np.float64]), channels, padding_id, n_rows, dim)
+
+    def test_table_that_is_not_2d_raises_shape_error(self):
+        table = Parameter(np.ones((4, 2, 3)), name="table")
+        with pytest.raises(ShapeError, match=r"table of shape \(4, 2, 3\) is not 2-D"):
+            nm.embedding_gather(table, np.array([0, 1]))
+
+
 class TestOptimizers:
     def test_zero_gradient_leaves_value_unchanged(self):
         p = Parameter(np.array([1.0, 2.0]), name="p")
