@@ -69,11 +69,11 @@ def news_run(task, seed, ablate):
         fit_docs, [fit_docs, val_docs, test_docs], labels, config
     )
     if ablate:
-        for ex in fit_examples + val_examples + test_examples:
-            ex.descriptor_ids[:] = 0
+        for examples in (fit_examples, val_examples, test_examples):
+            examples.descriptor_ids[:] = 0
     model = DualChannelModel(config, len(vocab), len(labels))
     train(model, fit_examples, val_examples)
-    gold = np.stack([ex.target for ex in test_examples]).argmax(axis=1)
+    gold = test_examples.target.argmax(axis=1)
     return metrics.accuracy(predict_probabilities(model, test_examples).argmax(axis=1), gold), descriptors
 
 

@@ -57,8 +57,7 @@ def digest_run(seed: int) -> tuple[str, float]:
         digest.update(p.data.tobytes())
     probs = predict_probabilities(model, heldout_ex)
     digest.update(probs.tobytes())
-    gold = np.stack([ex.target for ex in heldout_ex])
-    return digest.hexdigest(), metrics.accuracy(probs.argmax(axis=1), gold.argmax(axis=1))
+    return digest.hexdigest(), metrics.accuracy(probs.argmax(axis=1), heldout_ex.target.argmax(axis=1))
 
 
 def main(argv=None) -> int:

@@ -7,7 +7,7 @@ tensor gradients come from the in-repo reverse-mode engine.
 
 from .corpus import (
     Document,
-    EncodedExample,
+    EncodedExamples,
     LabelSpace,
     Vocabulary,
     build_vocabulary,

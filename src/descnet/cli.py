@@ -13,13 +13,12 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import metrics, nn
 from .corpus import LabelSpace, build_vocabulary, load_dataset, load_vocabulary, open_text, save_vocabulary, split
 from .descriptors import extract_descriptors, load_descriptors, save_descriptors
 from .errors import ArtifactError, DataError
 from .model import (
+    CONFIG_KINDS,
     DualChannelModel,
     ModelConfig,
     encode_examples,
@@ -76,27 +75,15 @@ class RunConfig(ModelConfig):
         return LabelSpace(names, self.mode)
 
 
-_FIELD_TYPES = {f.name: f.type.removesuffix(" | None") for f in fields(RunConfig)}
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
-def _coerce(key: str, raw: str):
+def _coerce(key: str, raw: str, where: str = ""):
     kind = _FIELD_TYPES[key]
-    if kind == "str":
-        return raw
-    raw = raw.strip()
     try:
-        if kind == "bool":
-            lowered = raw.lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if kind == "int":
-            return int(raw)
-        return float(raw)
-    except ValueError:
-        raise DataError(f"config key {key!r}: cannot parse {raw!r} as {kind}")
+        return CONFIG_KINDS[kind][2](raw)
+    except (KeyError, ValueError):
+        raise DataError(f"{where}config key {key!r}: cannot parse {raw.strip()!r} as {kind}") from None
 
 
 def parse_config_file(path) -> dict:
@@ -112,7 +99,7 @@ def parse_config_file(path) -> dict:
             key = key.strip()
             if key not in _FIELD_TYPES:
                 raise DataError(f"{path}: line {lineno}: unknown config key {key!r}")
-            values[key] = _coerce(key, raw.strip())
+            values[key] = _coerce(key, raw.strip(), f"{path}: line {lineno}: ")
     return values
 
 
@@ -219,7 +206,7 @@ def cmd_train(config: RunConfig) -> int:
     threshold = None
     if config.mode == "multi_label":
         probs = predict_probabilities(model, val_examples)
-        threshold = metrics.select_threshold(probs, np.stack([ex.target for ex in val_examples]))
+        threshold = metrics.select_threshold(probs, val_examples.target)
         (out_dir / "threshold.txt").write_text(f"{threshold}\n", encoding="utf-8")
 
     best = max(history, key=lambda s: s.val_metric)
@@ -289,9 +276,8 @@ def cmd_evaluate(config: RunConfig) -> int:
     examples = encode_examples(docs, vocab, descriptors, labels, model.config)
     probs = predict_probabilities(model, examples)
     predicted = metrics.decide(probs, model.config.mode, threshold)
-    gold = np.stack([ex.target for ex in examples])
 
-    report = metrics.build_report(model.config.mode, labels.names, predicted, gold, probs, threshold)
+    report = metrics.build_report(model.config.mode, labels.names, predicted, examples.target, probs, threshold)
     (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
     (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
     sys.stdout.write(report.to_text())
@@ -348,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", default="", help="flat key = value config file")
         for f in fields(RunConfig):
             flag = "--" + f.name.replace("_", "-")
-            sub.add_argument(flag, dest=f.name, default=None, metavar=_FIELD_TYPES[f.name].upper(),
+            sub.add_argument(flag, dest=f.name, default=None, metavar=_FIELD_TYPES[f.name].split()[0].upper(),
                              help=f"override {f.name} (default: {getattr(defaults, f.name)!r})")
         if command == "verify":
             sub.add_argument("--quick", action="store_true", help="smaller sample counts")

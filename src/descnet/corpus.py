@@ -1,4 +1,4 @@
-"""Dataset ingestion, text preprocessing, vocabulary, fixed-length encoding.
+"""Dataset ingestion, text preprocessing, vocabulary, id encoding.
 
 Everything here is pure given its inputs; corpora and vocabularies are
 immutable after construction and safe to share.
@@ -106,12 +106,19 @@ def make_document(doc_id: int, text: str, label_names: list[str], label_space: L
 
 
 @dataclass
-class EncodedExample:
-    """Fixed-length integer encodings for both channels plus the target vector."""
+class EncodedExamples:
+    """A document set's right-padded ids, ``text_ids`` (n, w) and ``descriptor_ids`` (n, w'), and ``target``
+    (n, n_classes). Indexing selects rows of all three: an int gives one document, a slice a smaller set."""
 
     text_ids: np.ndarray
     descriptor_ids: np.ndarray
     target: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.target)
+
+    def __getitem__(self, rows) -> EncodedExamples:
+        return EncodedExamples(self.text_ids[rows], self.descriptor_ids[rows], self.target[rows])
 
 
 @dataclass

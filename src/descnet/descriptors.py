@@ -144,10 +144,9 @@ def _anova_f(n_in, s_in, q_in, n_out, s_out, q_out):
     mean_out = s_out / n_out
     # Two-group identity: SSB = n1*n2/N * (m1 - m2)^2, exact at zero when the
     # group means agree; the computational form q - s*m can go slightly
-    # negative in floating point, hence the clamps. float_power is the C
-    # library's pow, like Python's float **, so scores equal a plain-Python
-    # evaluation bit for bit; x * x rounds differently for ~1 in 1,000 values.
-    ss_between = (n_in * n_out / n) * np.float_power(mean_in - mean_out, 2)
+    # negative in floating point, hence the clamps.
+    d = mean_in - mean_out
+    ss_between = (n_in * n_out / n) * (d * d)
     ss_within = np.maximum(q_in - s_in * mean_in, 0.0) + np.maximum(q_out - s_out * mean_out, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = ss_between / (ss_within / (n - 2))

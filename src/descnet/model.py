@@ -18,7 +18,7 @@ import numpy as np
 
 from . import metrics, nn
 from . import numerics as nm
-from .corpus import MODES, PAD_ID, Document, EncodedExample, LabelSpace, Vocabulary, encode, preprocess_text
+from .corpus import MODES, PAD_ID, Document, EncodedExamples, LabelSpace, Vocabulary, encode, preprocess_text
 from .descriptors import TESTS, ClassDescriptorSet, build_descriptor_channel_input
 from .errors import ArtifactError, DataError
 from .numerics import NonFiniteError, Parameter, Tape, Tensor
@@ -27,6 +27,18 @@ CHECKPOINT_MAGIC = b"DCNC"
 CHECKPOINT_VERSION = 1
 # Settings that older checkpoint headers still carry; they no longer select anything.
 LEGACY_CONFIG_KEYS = ("optimizer", "share_embedding", "recurrent_dropout_rate")
+
+
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+# A config field's annotation: the type its value must have, that type in words, and how a config string parses
+# (a string that does not parse raises KeyError or ValueError).
+CONFIG_KINDS = {
+    "int": (numbers.Integral, "an integer", int),
+    "float": (numbers.Real, "a number", float),
+    "bool": (bool, "true or false", lambda raw: _BOOLS[raw.strip().lower()]),
+    "str": (str, "a string", str),
+    "str | None": ((str, type(None)), "a string or None", str),
+}
 
 
 @dataclass
@@ -49,11 +61,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        kinds = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"), "str": (str, "a string")}
-        for f in fields(ModelConfig):
+        for f in fields(self):
             value = getattr(self, f.name)
-            kind, noun = kinds[f.type]
-            if isinstance(value, bool) or not isinstance(value, kind):
+            kind, noun, _ = CONFIG_KINDS[f.type]
+            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
                 raise DataError(f"{f.name} must be {noun}, got {value!r}")
         if self.mode not in MODES:
             raise DataError(f"unknown mode {self.mode!r}")
@@ -202,29 +213,25 @@ def encode_examples(
     descriptors: ClassDescriptorSet,
     label_space: LabelSpace,
     config: ModelConfig,
-) -> list[EncodedExample]:
+) -> EncodedExamples:
+    """Both channels' ids and the target rows of ``docs``, as one aligned set."""
     targets = metrics.label_matrix([doc.labels for doc in docs], len(label_space)).astype(np.float32)
-    return [_encode_tokens(doc.tokens, vocab, descriptors, config, target) for doc, target in zip(docs, targets)]
+    return _encode_set([doc.tokens for doc in docs], vocab, descriptors, config, targets)
 
 
-def _encode_tokens(
-    tokens: list[str], vocab: Vocabulary, descriptors: ClassDescriptorSet, config: ModelConfig, target: np.ndarray
-) -> EncodedExample:
-    return EncodedExample(
-        text_ids=encode(tokens, vocab, config.text_length),
-        descriptor_ids=build_descriptor_channel_input(tokens, descriptors, vocab, config.resolved_descriptor_length),
-        target=target,
-    )
+def _encode_set(token_lists: list[list[str]], vocab, descriptors, config: ModelConfig, targets) -> EncodedExamples:
+    """Each channel is ``min(its configured length, the longest document)`` columns wide, and at least one:
+    the configured lengths only truncate, and no column is padding in every row."""
+    longest = max(1, max(map(len, token_lists), default=0))
+    text = np.zeros((len(token_lists), min(config.text_length, longest)), dtype=np.int64)
+    desc = np.zeros((len(token_lists), min(config.resolved_descriptor_length, longest)), dtype=np.int64)
+    for row, tokens in enumerate(token_lists):
+        text[row] = encode(tokens, vocab, text.shape[1])
+        desc[row] = build_descriptor_channel_input(tokens, descriptors, vocab, desc.shape[1])
+    return EncodedExamples(text, desc, targets)
 
 
-def batch_arrays(examples: list[EncodedExample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    text = np.stack([ex.text_ids for ex in examples])
-    desc = np.stack([ex.descriptor_ids for ex in examples])
-    targets = np.stack([ex.target for ex in examples])
-    return text, desc, targets
-
-
-def predict_probabilities(model: DualChannelModel, examples: list[EncodedExample]) -> np.ndarray:
+def predict_probabilities(model: DualChannelModel, examples: EncodedExamples) -> np.ndarray:
     """Inference-mode probabilities, shape ``(len(examples), n_classes)``, rows in input order.
 
     Scores the examples, stably sorted by valid text length, in consecutive
@@ -233,27 +240,25 @@ def predict_probabilities(model: DualChannelModel, examples: list[EncodedExample
     differ in the last bits from the same document's row in another batch,
     because BLAS picks its kernels by the product's shape.
     """
-    text, desc, _ = batch_arrays(examples)
-    order = np.argsort(valid_lengths(text), kind="stable")
+    order = np.argsort(valid_lengths(examples.text_ids), kind="stable")
     probs = np.empty((len(order), model.n_classes), dtype=model.dtype)
     for start in range(0, len(order), model.config.batch_size):
         idx = order[start : start + model.config.batch_size]
-        probs[idx] = model.forward(text[idx], desc[idx], training=False).data
+        probs[idx] = model.forward(examples.text_ids[idx], examples.descriptor_ids[idx], training=False).data
     return probs
 
 
-def _validation_metric(model: DualChannelModel, examples: list[EncodedExample]) -> float:
+def _validation_metric(model: DualChannelModel, examples: EncodedExamples) -> float:
     probs = predict_probabilities(model, examples)
-    targets = np.stack([ex.target for ex in examples])
     if model.config.mode == "multi_class":
-        return metrics.accuracy(probs.argmax(axis=1), targets.argmax(axis=1))
-    return metrics.macro_auc(probs, targets, model.n_classes)
+        return metrics.accuracy(probs.argmax(axis=1), examples.target.argmax(axis=1))
+    return metrics.macro_auc(probs, examples.target, model.n_classes)
 
 
 def train(
     model: DualChannelModel,
-    train_examples: list[EncodedExample],
-    val_examples: list[EncodedExample],
+    train_examples: EncodedExamples,
+    val_examples: EncodedExamples,
 ) -> list[EpochStats]:
     """Mini-batch training with early stopping on the validation metric.
 
@@ -267,8 +272,7 @@ def train(
     """
     cfg = model.config
     rng = np.random.default_rng([cfg.seed, 1])
-    text, desc, targets = batch_arrays(train_examples)
-    lengths = valid_lengths(text)
+    lengths = valid_lengths(train_examples.text_ids)
     params = model.parameters()
     # Adam's first and second moments, allocated here: filled inside the first step, they land among
     # that step's temporaries, and train-news steps measured 2-5% slower.
@@ -283,10 +287,11 @@ def train(
     for epoch in range(1, cfg.max_epochs + 1):
         batch_losses: list[float] = []
         for k, idx in enumerate(bucketed_batches(lengths, cfg.batch_size, rng)):
+            batch = train_examples[idx]
             model.zero_grad()
             with Tape() as tape:
-                probs = model.forward(text[idx], desc[idx], training=True, rng=rng)
-                loss = model.loss(probs, targets[idx])
+                probs = model.forward(batch.text_ids, batch.descriptor_ids, training=True, rng=rng)
+                loss = model.loss(probs, batch.target)
             loss_value = loss.item()
             if not np.isfinite(loss_value):
                 raise NonFiniteError(f"non-finite loss at epoch {epoch}, batch {k}")
@@ -320,8 +325,8 @@ def predict_texts(
     threshold: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decisions (bool) and probabilities, both ``(len(texts), n_classes)``; multi-label needs ``threshold``."""
-    no_target = np.zeros(model.n_classes, dtype=np.float32)
-    examples = [_encode_tokens(preprocess_text(text), vocab, descriptors, model.config, no_target) for text in texts]
+    no_targets = np.zeros((len(texts), model.n_classes), dtype=np.float32)
+    examples = _encode_set([preprocess_text(text) for text in texts], vocab, descriptors, model.config, no_targets)
     probs = predict_probabilities(model, examples)
     return metrics.decide(probs, model.config.mode, threshold), probs
 

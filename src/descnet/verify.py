@@ -16,7 +16,7 @@ import numpy as np
 from . import metrics, nn
 from . import model as model_module
 from . import numerics as nm
-from .corpus import Document, EncodedExample, LabelSpace, Vocabulary, build_vocabulary
+from .corpus import Document, EncodedExamples, LabelSpace, Vocabulary, build_vocabulary
 from .descriptors import anova_f_score, build_contingency, score_tokens
 from .model import DualChannelModel, ModelConfig
 from .numerics import Parameter, Tape, Tensor, grad_check
@@ -429,10 +429,10 @@ def check_trimmed_forward(seed: int = 5) -> CheckResult:
 
     model = toy_model()
     model.config = replace(model.config, batch_size=3)
-    examples = [
-        EncodedExample(np.pad(rng.integers(1, 20, size=t), (0, 6 - t)), np.pad(rng.integers(1, 20, size=d), (0, 4 - d)), targets[0])
-        for t, d in [(3, 0), (0, 0), (6, 4), (2, 2), (5, 1), (1, 1), (4, 3)]
-    ]
+    text, desc = np.zeros((7, 6), dtype=np.int64), np.zeros((7, 4), dtype=np.int64)
+    for row, (t, d) in enumerate([(3, 0), (0, 0), (6, 4), (2, 2), (5, 1), (1, 1), (4, 3)]):
+        text[row, :t], desc[row, :d] = rng.integers(1, 20, size=t), rng.integers(1, 20, size=d)
+    examples = EncodedExamples(text, desc, np.tile(targets[0], (7, 1)))
     scored = model_module.predict_probabilities(model, examples)
     worst_row = max(
         relative_gap(row, padded_forward(model, ex.text_ids[None], ex.descriptor_ids[None]).data[0])

@@ -139,7 +139,7 @@ class TestEndToEndLearning:
         model = DualChannelModel(config, len(vocab), len(labels))
         history = train(model, examples, examples)  # training accuracy is the target
         elapsed = time.time() - start
-        gold = np.stack([ex.target for ex in examples]).argmax(axis=1)
+        gold = examples.target.argmax(axis=1)
         acc = accuracy(predict_probabilities(model, examples).argmax(axis=1), gold)
         report(
             "end-to-end learning (200 docs, 2 classes: train acc >= 0.99 in <=10 epochs, <2min)",

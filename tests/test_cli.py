@@ -11,6 +11,7 @@ from descnet import metrics
 from descnet.cli import RunConfig, build_parser, build_run_config, main, parse_config_file
 from descnet.corpus import LabelSpace, build_vocabulary, load_dataset, load_vocabulary, split
 from descnet.descriptors import extract_descriptors, load_descriptors, save_descriptors
+from descnet.errors import DataError
 from descnet.model import ModelConfig, file_sha256, load_checkpoint, predict, save_checkpoint
 from descnet.synth import marker_corpus, news_like_corpus, write_csv
 
@@ -159,6 +160,19 @@ class TestTrain:
         echoed = (out / "effective_config.cfg").read_text()
         assert "max_epochs = 2" in echoed  # flag overrides file
         assert "d_embed = 8" in echoed
+
+    @pytest.mark.parametrize(
+        ("line", "message"),
+        [
+            ("d_embed = abc", "config key 'd_embed': cannot parse 'abc' as int"),
+            ("drop_overlength = maybe", "config key 'drop_overlength': cannot parse 'maybe' as bool"),
+        ],
+    )
+    def test_unparsable_config_value_exit_2_at_its_line(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"seed = 7\n{line}\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert f"error: {cfg}: line 2: {message}" in capsys.readouterr().err
 
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -490,6 +504,21 @@ class TestConfigSchema:
                 assert value == default and type(value) is type(default), (f.name, value)
 
 
+    @pytest.mark.parametrize(
+        ("key", "value", "message"),
+        [
+            ("drop_overlength", "no", "drop_overlength must be true or false, got 'no'"),
+            ("val_fraction", "0.5", "val_fraction must be a number, got '0.5'"),
+            ("text", 3, "text must be a string or None, got 3"),
+            ("min_doc_frequency", 2.0, "min_doc_frequency must be an integer, got 2.0"),
+        ],
+    )
+    def test_every_run_config_field_is_type_checked(self, key, value, message):
+        with pytest.raises(DataError) as raised:
+            RunConfig(**{key: value})
+        assert str(raised.value) == message
+
+
 class TestVerifyCommand:
     def test_fresh_build_passes(self, capsys):
         assert main(["verify", "--quick"]) == 0
@@ -687,6 +716,29 @@ class TestCheckpointValues:
         old.write_bytes(data[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes + records)
         assert predict_with(trained, old) == 4
         assert f"{n_params + 1} parameter records, model expects {n_params}" in capsys.readouterr().err
+
+    def test_lengths_of_10_to_the_12_evaluate_and_predict_like_the_original(self, trained, tmp_path, capsys):
+        """text_length and descriptor_length only truncate: no document here is longer than the trained 10."""
+        root, _, out = trained
+        huge = tmp_path / "huge"
+        huge.mkdir()
+        for name in ("vocab.tsv", "descriptors.tsv"):
+            shutil.copy(out / name, huge / name)
+        rewritten_header(
+            trained, huge / "checkpoint.bin", lambda header: header["config"].update(text_length=10**12, descriptor_length=10**12)
+        )
+        outputs = []
+        for bundle in (out, huge):
+            report_dir = tmp_path / f"report_{bundle.name}"
+            assert main([
+                "evaluate", "--checkpoint-path", str(bundle / "checkpoint.bin"),
+                "--test-path", str(root / "test.csv"), "--out-dir", str(report_dir),
+            ]) == 0
+            assert main([
+                "predict", "--checkpoint-path", str(bundle / "checkpoint.bin"), "--input-path", str(root / "test.csv"),
+            ]) == 0
+            outputs.append((capsys.readouterr().out, (report_dir / "report.json").read_bytes()))
+        assert outputs[1] == outputs[0]
 
     def test_label_names_not_strings_exit_4_in_predict(self, trained, tmp_path, capsys):
         bad = rewritten_header(trained, tmp_path / "checkpoint.bin", lambda header: header.update(label_names=[1, 2, 3]))

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from descnet import model as model_module
 from descnet import nn, verify
-from descnet.corpus import EncodedExample, LabelSpace, build_vocabulary, encode
-from descnet.descriptors import extract_descriptors
+from descnet.corpus import Document, EncodedExamples, LabelSpace, build_vocabulary, encode
+from descnet.descriptors import build_descriptor_channel_input, extract_descriptors
 from descnet.errors import ArtifactError, DataError
 from descnet.numerics import Tape, backward
 from descnet.model import (
@@ -100,8 +100,7 @@ class TestForward:
 
     def test_multi_label_head_rows_act_independently(self):
         model, examples, *_ = tiny_setup(mode="multi_label")
-        text = np.stack([ex.text_ids for ex in examples[:4]])
-        desc = np.stack([ex.descriptor_ids for ex in examples[:4]])
+        text, desc = examples[:4].text_ids, examples[:4].descriptor_ids
         base = model.forward(text, desc).data.copy()
         model.head.weights.data[:, 1] += 0.5
         perturbed = model.forward(text, desc).data
@@ -220,13 +219,12 @@ class TestTrimmedForward:
             assert wide_grads[name].tobytes() == grad.tobytes(), name
 
 
-def mixed_examples(n: int = 40, seed: int = 0) -> list[EncodedExample]:
+def mixed_examples(n: int = 40, seed: int = 0) -> EncodedExamples:
     """``n`` examples at ``trim_model``'s width with text lengths 0-24; the first is an empty document."""
     rng = np.random.default_rng(seed)
     text_ids, desc_ids = padded_batch(rng.integers(0, 25, size=n), rng.integers(0, 25, size=n), seed)
     text_ids[0], desc_ids[0] = 0, 0
-    target = np.zeros(3, dtype=np.float32)
-    return [EncodedExample(text, desc, target) for text, desc in zip(text_ids, desc_ids)]
+    return EncodedExamples(text_ids, desc_ids, np.zeros((n, 3), dtype=np.float32))
 
 
 class TestBatchedScoring:
@@ -289,7 +287,7 @@ class TestTrain:
         model, examples, *_ = tiny_setup(n_docs=120, max_epochs=8, learning_rate=1e-2)
         train(model, examples[:100], examples[100:])
         probs = predict_probabilities(model, examples[:100])
-        gold = np.stack([ex.target for ex in examples[:100]]).argmax(axis=1)
+        gold = examples[:100].target.argmax(axis=1)
         accuracy = (probs.argmax(axis=1) == gold).mean()
         assert accuracy >= 0.95
 
@@ -307,7 +305,7 @@ class TestTrain:
         history = train(model, examples[:70], examples[70:])
         best = max(s.val_metric for s in history)
         restored = predict_probabilities(model, examples[70:])
-        gold = np.stack([ex.target for ex in examples[70:]]).argmax(axis=1)
+        gold = examples[70:].target.argmax(axis=1)
         assert (restored.argmax(axis=1) == gold).mean() == pytest.approx(best)
 
 
@@ -343,7 +341,7 @@ class TestBucketedBatches:
 
     def test_train_steps_over_the_batches_it_draws(self, monkeypatch):
         model, examples, *_ = tiny_setup(max_epochs=2, patience=2)
-        text = np.stack([ex.text_ids for ex in examples[:40]])
+        text = examples[:40].text_ids
         drawn, stepped = [], []
         original_batches, original_forward = model_module.bucketed_batches, DualChannelModel.forward
 
@@ -587,10 +585,63 @@ class TestEmbeddingSharing:
 class TestEncodeExamples:
     def test_targets_and_channels(self):
         model, examples, vocab, descriptors, labels, docs = tiny_setup()
+        longest = max(len(doc.tokens) for doc in docs)
+        assert examples.text_ids.shape == (len(docs), min(model.config.text_length, longest))
         for doc, ex in zip(docs, examples):
-            assert ex.text_ids.shape == (model.config.text_length,)
             assert ex.target.sum() == 1.0
             assert ex.target.argmax() in doc.labels
             non_pad = ex.descriptor_ids[ex.descriptor_ids != 0]
             for token_id in non_pad:
                 assert vocab.id_to_token[token_id] in descriptors.union_vocabulary
+
+    @pytest.mark.parametrize(
+        ("text_length", "descriptor_length", "lengths", "widths"),
+        [
+            (10, 0, [3, 7, 0], (7, 7)),  # the longest document, under the configured length
+            (5, 0, [3, 7, 0], (5, 5)),  # truncated at text_length
+            (10, 4, [3, 7], (7, 4)),  # descriptor_length truncates its own channel
+            (10, 0, [0, 0], (1, 1)),  # only empty documents: one column
+            (10, 0, [], (1, 1)),  # no documents: (0, 1)
+        ],
+    )
+    def test_width_is_the_configured_length_or_the_longest_document(self, text_length, descriptor_length, lengths, widths):
+        _, _, vocab, descriptors, labels, docs = tiny_setup()
+        words = [tok for doc in docs for tok in doc.tokens]
+        subset = [Document(k, words[k : k + n], frozenset({0})) for k, n in enumerate(lengths)]
+        config = tiny_config(text_length=text_length, descriptor_length=descriptor_length)
+        examples = encode_examples(subset, vocab, descriptors, labels, config)
+        assert examples.text_ids.shape == (len(lengths), widths[0])
+        assert examples.descriptor_ids.shape == (len(lengths), widths[1])
+        assert examples.target.shape == (len(lengths), len(labels))
+        for doc, text, desc in zip(subset, examples.text_ids, examples.descriptor_ids):
+            np.testing.assert_array_equal(text, encode(doc.tokens, vocab, text_length)[: widths[0]])
+            full = build_descriptor_channel_input(doc.tokens, descriptors, vocab, config.resolved_descriptor_length)
+            np.testing.assert_array_equal(desc, full[: widths[1]])
+
+    def test_an_int_a_slice_and_iteration_select_rows(self):
+        _, examples, *_ = tiny_setup()
+        head = examples[:10]
+        assert isinstance(head, EncodedExamples) and len(head) == 10
+        for name in ("text_ids", "descriptor_ids", "target"):
+            np.testing.assert_array_equal(getattr(head, name), getattr(examples, name)[:10])
+            np.testing.assert_array_equal(getattr(examples[3], name), getattr(examples, name)[3])
+        assert examples[3].text_ids.shape == (examples.text_ids.shape[1],) and examples[3].target.shape == (3,)
+        assert [int(ex.target.argmax()) for ex in examples] == examples.target.argmax(axis=1).tolist()
+        assert len(examples[np.array([5, 1])]) == 2
+
+    def test_the_sets_width_scores_and_trains_like_full_text_length(self):
+        """Columns past the longest document are padding in every row, so dropping them changes no byte."""
+        _, examples, vocab, descriptors, labels, docs = tiny_setup(text_length=40, dropout_rate=0.3, max_epochs=2)
+        assert examples.text_ids.shape[1] < 40
+        full = EncodedExamples(
+            np.stack([encode(doc.tokens, vocab, 40) for doc in docs]),
+            np.stack([build_descriptor_channel_input(doc.tokens, descriptors, vocab, 40) for doc in docs]),
+            examples.target,
+        )
+        outputs = []
+        for encoded in (examples, full):
+            model = DualChannelModel(tiny_config(text_length=40, dropout_rate=0.3, max_epochs=2), len(vocab), len(labels))
+            untrained = predict_probabilities(model, encoded)
+            history = train(model, encoded[:40], encoded[40:])
+            outputs.append((untrained.tobytes(), [s.batch_losses for s in history], predict_probabilities(model, encoded).tobytes()))
+        assert outputs[0] == outputs[1]
