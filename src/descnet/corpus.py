@@ -78,7 +78,6 @@ class LabelSpace:
 class Document:
     """One record: its preprocessed tokens and label indices."""
 
-    id: int
     tokens: list[str]
     labels: frozenset[int]
 
@@ -96,13 +95,11 @@ def preprocess_text(text: str) -> list[str]:
     return list(map(sys.intern, text.split()))
 
 
-def make_document(doc_id: int, text: str, label_names: list[str], label_space: LabelSpace) -> Document:
+def make_document(text: str, label_names: list[str], label_space: LabelSpace) -> Document:
     indices = frozenset(label_space.index(name) for name in label_names)
     if label_space.mode == "multi_class" and len(indices) != 1:
-        raise DataError(
-            f"record {doc_id}: multi_class documents need exactly one label, got {sorted(label_names)}"
-        )
-    return Document(id=doc_id, tokens=preprocess_text(text), labels=indices)
+        raise DataError(f"multi_class documents need exactly one label, got {sorted(label_names)}")
+    return Document(tokens=preprocess_text(text), labels=indices)
 
 
 @dataclass
@@ -224,9 +221,7 @@ def load_dataset(path, format: str, label_space: LabelSpace) -> list[Document]:
                         raise DataError(f"{path}: line {reader.line_num}: expected 2 columns, got {len(row)}")
                     text, cell = row
                     try:
-                        docs.append(
-                            make_document(len(docs), text, parse_label_cell(cell, label_space.mode), label_space)
-                        )
+                        docs.append(make_document(text, parse_label_cell(cell, label_space.mode), label_space))
                     except DataError as e:
                         raise DataError(f"{path}: line {reader.line_num}: {e}") from None
             except csv.Error as e:
@@ -246,7 +241,7 @@ def load_dataset(path, format: str, label_space: LabelSpace) -> list[Document]:
                 if not isinstance(obj["text"], str) or not isinstance(obj["labels"], list):
                     raise DataError(f"{path}: line {lineno}: 'text' must be a string and 'labels' a list")
                 try:
-                    docs.append(make_document(len(docs), obj["text"], obj["labels"], label_space))
+                    docs.append(make_document(obj["text"], obj["labels"], label_space))
                 except DataError as e:
                     raise DataError(f"{path}: line {lineno}: {e}") from None
     if not docs:

@@ -297,7 +297,7 @@ def train(
                 raise NonFiniteError(f"non-finite loss at epoch {epoch}, batch {k}")
             nm.backward(loss, tape)
             step += 1
-            nm.adam_step(params, moments, cfg.learning_rate, step_count=step)
+            nm.adam_step(params, moments, cfg.learning_rate, step)
             batch_losses.append(loss_value)
 
         val_metric = _validation_metric(model, val_examples)
@@ -418,12 +418,15 @@ def load_checkpoint(path) -> tuple[DualChannelModel, CheckpointMeta]:
         try:
             header = json.loads(take(header_len).decode("utf-8"))
             config = ModelConfig(**{k: v for k, v in dict(header["config"]).items() if k not in LEGACY_CONFIG_KEYS})
-            vocab_size, n_classes = int(header["vocab_size"]), int(header["n_classes"])
+            for key in ("vocab_size", "n_classes", "epoch"):
+                if type(header[key]) is not int:  # a JSON integer; bool is an int subclass
+                    raise ValueError(f"{key} must be an integer, got {header[key]!r}")
+            vocab_size, n_classes = header["vocab_size"], header["n_classes"]
             meta = CheckpointMeta(
                 label_names=header["label_names"],
                 vocab_sha256=header["vocab_sha256"],
                 descriptor_sha256=header["descriptor_sha256"],
-                epoch=int(header["epoch"]),
+                epoch=header["epoch"],
                 val_metric=float(header["val_metric"]),
             )
             names = meta.label_names
@@ -458,7 +461,7 @@ def load_checkpoint(path) -> tuple[DualChannelModel, CheckpointMeta]:
                 raise ArtifactError(
                     f"{path}: parameter {name!r} has shape {tuple(shape)}, model expects {param.data.shape}"
                 )
-            count = int(np.prod(shape)) if shape else 1
+            count = int(np.prod(shape))
             values = np.frombuffer(take(4 * count), dtype="<f4")
             if not np.isfinite(values).all():
                 raise ArtifactError(f"{path}: parameter {name!r} holds a non-finite value")

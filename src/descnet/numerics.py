@@ -539,29 +539,24 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Parameter], epsilon: fl
 def adam_step(
     params: Sequence[Parameter],
     moments: dict[str, tuple[np.ndarray, np.ndarray]],
-    learning_rate: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-    step_count: int = 1,
+    learning_rate: float,
+    step_count: int,
 ) -> None:
-    """Bias-corrected Adam update, in place, of every parameter that has a gradient.
+    """Bias-corrected Adam update, in place, with beta1 0.9, beta2 0.999 and epsilon 1e-8.
 
-    ``moments`` is the caller's map from parameter name to its (first, second) moment arrays, zeros before step 1.
+    Every parameter must hold a gradient; ``moments`` maps its name to its (first, second) moment arrays, zeros before step 1.
     """
     if step_count < 1:
         raise ValueError("adam_step: step_count must be >= 1")
     for p in params:
-        if p.grad is None:
-            continue
         g = p.grad
         if not np.all(np.isfinite(g)):
             raise NonFiniteError(f"adam_step: non-finite gradient for parameter '{p.name}'")
         m, v = moments[p.name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**step_count)
-        v_hat = v / (1.0 - beta2**step_count)
-        p.data -= learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * g * g
+        m_hat = m / (1.0 - 0.9**step_count)
+        v_hat = v / (1.0 - 0.999**step_count)
+        p.data -= learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)

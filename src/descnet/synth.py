@@ -118,7 +118,7 @@ def joined_news_corpus(n_docs: int, n_classes: int = 4, seed: int = 0) -> tuple[
 
 
 def to_documents(rows: list[tuple[str, str]], label_space: LabelSpace) -> list[Document]:
-    return [make_document(i, text, parse_label_cell(cell, label_space.mode), label_space) for i, (text, cell) in enumerate(rows)]
+    return [make_document(text, parse_label_cell(cell, label_space.mode), label_space) for text, cell in rows]
 
 
 def write_csv(rows: list[tuple[str, str]], path) -> None:

@@ -202,7 +202,7 @@ def random_corpus(rng: np.random.Generator) -> tuple[list[Document], Vocabulary,
     for i in range(n_docs):
         j = i % n_classes  # guarantees every class is populated
         tokens = [pool[k] for k in rng.integers(0, len(pool), size=int(rng.integers(1, 9)))]
-        docs.append(Document(i, tokens, frozenset([j])))
+        docs.append(Document(tokens, frozenset([j])))
     vocab = build_vocabulary(docs, max_size=len(pool) + 2)
     return docs, vocab, labels
 
@@ -227,27 +227,27 @@ def _score_check(name: str, test: str, errors, n_corpora: int, seed: int, min_do
     return CheckResult(name, worst < 1e-9, worst, 1e-9, f"{comparisons} comparisons over {n_corpora} corpora")
 
 
-def check_chi2_equivalence(n_corpora: int = 1000, seed: int = 2024) -> CheckResult:
+def check_chi2_equivalence(n_corpora: int = 1000) -> CheckResult:
     errors = lambda docs, token, class_idx, produced: [relative_error(produced, chi2_oracle(*presence_table(docs, token, class_idx)))]
-    return _score_check("chi2 bulk kernel vs direct (O-E)^2/E oracle", "chi2", errors, n_corpora, seed)
+    return _score_check("chi2 bulk kernel vs direct (O-E)^2/E oracle", "chi2", errors, n_corpora, 2024)
 
 
-def check_anova_equivalence(n_corpora: int = 1000, seed: int = 2025) -> CheckResult:
+def check_anova_equivalence(n_corpora: int = 1000) -> CheckResult:
     def errors(docs, token, class_idx, produced):
         groups = anova_groups(docs, token, class_idx)
         expected = anova_oracle(*groups)
         return relative_error(produced, expected), relative_error(anova_f_score(*groups), expected)
 
     # F needs at least one within-group degree of freedom, so corpora of 2 documents are skipped.
-    return _score_check("anova F vs from-definition SSB/SSW oracle", "anova", errors, n_corpora, seed, min_docs=3)
+    return _score_check("anova F vs from-definition SSB/SSW oracle", "anova", errors, n_corpora, 2025, min_docs=3)
 
 
 def check_worked_statistics() -> CheckResult:
     docs = [
-        Document(0, ["cat", "cat"], frozenset([0])),
-        Document(1, ["cat"], frozenset([0])),
-        Document(2, ["dog"], frozenset([1])),
-        Document(3, ["dog", "dog"], frozenset([1])),
+        Document(["cat", "cat"], frozenset([0])),
+        Document(["cat"], frozenset([0])),
+        Document(["dog"], frozenset([1])),
+        Document(["dog", "dog"], frozenset([1])),
     ]
     labels = LabelSpace(("A", "B"), "multi_class")
     vocab = build_vocabulary(docs, max_size=10)
@@ -299,8 +299,8 @@ def _gradient_check(name: str, cases) -> CheckResult:
     return CheckResult(name, worst < 1e-6, worst, 1e-6, f"worst: {worst_name}")
 
 
-def check_primitive_gradients(seed: int = 7) -> CheckResult:
-    return _gradient_check("primitive op gradients vs central differences", _primitive_cases(np.random.default_rng(seed)))
+def check_primitive_gradients() -> CheckResult:
+    return _gradient_check("primitive op gradients vs central differences", _primitive_cases(np.random.default_rng(7)))
 
 
 def _layer_cases(rng: np.random.Generator):
@@ -361,13 +361,12 @@ def _layer_cases(rng: np.random.Generator):
     return cases
 
 
-def check_layer_gradients(seed: int = 11) -> CheckResult:
-    return _gradient_check("layer gradients vs central differences", _layer_cases(np.random.default_rng(seed)))
+def check_layer_gradients() -> CheckResult:
+    return _gradient_check("layer gradients vs central differences", _layer_cases(np.random.default_rng(11)))
 
 
-def toy_model(mode: str = "multi_class", seed: int = 3, dropout_rate: float = 0.0) -> DualChannelModel:
+def toy_model(seed: int = 3, dropout_rate: float = 0.0) -> DualChannelModel:
     config = ModelConfig(
-        mode=mode,
         d_embed=8,
         gru_units=4,
         dropout_rate=dropout_rate,
@@ -380,14 +379,14 @@ def toy_model(mode: str = "multi_class", seed: int = 3, dropout_rate: float = 0.
     return DualChannelModel(config, vocab_size=20, n_classes=3, dtype=np.float64)
 
 
-def check_full_model_gradient(model_seed: int = 14, data_seed: int = 3) -> CheckResult:
-    # The default seeds pin a test point whose nonzero gradient entries all sit
+def check_full_model_gradient() -> CheckResult:
+    # These seeds pin a test point whose nonzero gradient entries all sit
     # well above the finite-difference noise floor at epsilon 1e-4 and whose
     # max-pool argmaxes are stable under the probe perturbation; at an
     # arbitrary point, entries below ~1e-8 are unresolvable by central
     # differences regardless of adjoint correctness.
-    rng = np.random.default_rng(data_seed)
-    model = toy_model(seed=model_seed)
+    rng = np.random.default_rng(3)
+    model = toy_model(seed=14)
     text_ids = rng.integers(1, 20, size=(3, 6))
     text_ids[1, 4:] = 0
     desc_ids = rng.integers(1, 20, size=(3, 4))
@@ -401,7 +400,7 @@ def check_full_model_gradient(model_seed: int = 14, data_seed: int = 3) -> Check
     return CheckResult("full dual-channel model gradient (toy sizes)", err < 1e-4, err, 1e-4)
 
 
-def check_trimmed_forward(seed: int = 5) -> CheckResult:
+def check_trimmed_forward() -> CheckResult:
     """The trimmed ``forward`` against :func:`padded_forward`, on a batch where both channels trim.
 
     Then every row of ``predict_probabilities`` over a mixed-length list (three
@@ -409,7 +408,7 @@ def check_trimmed_forward(seed: int = 5) -> CheckResult:
     :func:`padded_forward` of that example alone. Each chunk's longest text and
     descriptor row has two or more tokens, so a trim that drops a step leaves one.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(5)
     text_ids = rng.integers(1, 20, size=(3, 6))
     text_ids[:, 4:] = 0
     text_ids[1, 2:] = 0
@@ -421,7 +420,7 @@ def check_trimmed_forward(seed: int = 5) -> CheckResult:
     model = toy_model()
     worst_prob = relative_gap(model.forward(text_ids, desc_ids).data, padded_forward(model, text_ids, desc_ids).data)
     model = toy_model(dropout_rate=0.3)
-    trimmed_rng, padded_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    trimmed_rng, padded_rng = np.random.default_rng(5), np.random.default_rng(5)
     _, trimmed = training_gradients(DualChannelModel.forward, model, text_ids, desc_ids, targets, trimmed_rng)
     _, padded = training_gradients(padded_forward, model, text_ids, desc_ids, targets, padded_rng)
     worst_grad = max(relative_gap(trimmed[name], padded[name]) for name in padded)
@@ -461,7 +460,7 @@ def bigru_arrays(bigru, cells, x: Parameter, lengths, recurrent_mask, weight: np
     return [out.data] + [p.grad for p in params]
 
 
-def check_fused_gru(seed: int = 19) -> CheckResult:
+def check_fused_gru() -> CheckResult:
     """``nn.bigru_forward`` (one ``nm.bigru_sequence`` record) against :func:`bigru_oracle`, byte for byte.
 
     Shapes include a single row, one step, one input feature and one hidden
@@ -472,7 +471,7 @@ def check_fused_gru(seed: int = 19) -> CheckResult:
     width; each case runs with and without recurrent dropout, in float32 and
     float64. Shapes are appended at the end, so earlier cases keep their draws.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(19)
     shapes = [(1, 5, 3, 4), (2, 5, 3, 4), (32, 6, 8, 8), (2, 1, 3, 4), (2, 5, 1, 4), (2, 5, 3, 1), (3, 20, 4, 8), (19, 4, 3, 64)]
     cases, differing, worst = 0, 0, 0.0
     for dtype in (np.float32, np.float64):
@@ -500,8 +499,8 @@ def check_fused_gru(seed: int = 19) -> CheckResult:
     )
 
 
-def check_probability_invariants(n_trials: int = 1000, seed: int = 17) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_probability_invariants(n_trials: int = 1000) -> CheckResult:
+    rng = np.random.default_rng(17)
     worst = 0.0
     for _ in range(n_trials):
         batch = int(rng.integers(1, 5))
@@ -530,8 +529,8 @@ def check_probability_invariants(n_trials: int = 1000, seed: int = 17) -> CheckR
     return CheckResult("probability invariants (softmax/sigmoid/attention)", worst < 1e-6, worst, 1e-6, f"{n_trials} trials")
 
 
-def check_auc_equivalence(n_instances: int = 100, seed: int = 23) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_auc_equivalence() -> CheckResult:
+    rng = np.random.default_rng(23)
     worst = 0.0
     hand_cases = [
         (np.array([0.9, 0.8, 0.4, 0.3]), np.array([1, 0, 1, 0]), 0.75),
@@ -540,7 +539,7 @@ def check_auc_equivalence(n_instances: int = 100, seed: int = 23) -> CheckResult
     ]
     for scores, labels, expected in hand_cases:
         worst = max(worst, abs(metrics.roc_auc(scores, labels) - expected))
-    for _ in range(n_instances):
+    for _ in range(100):
         n = int(rng.integers(2, 201))
         # discrete score pools force ties so the half-credit path is exercised
         scores = rng.choice(np.round(rng.random(max(2, n // 3)), 3), size=n)
@@ -548,7 +547,7 @@ def check_auc_equivalence(n_instances: int = 100, seed: int = 23) -> CheckResult
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
         worst = max(worst, abs(metrics.roc_auc(scores, labels) - auc_oracle(scores, labels)))
-    return CheckResult("roc_auc vs all-pairs concordance oracle", worst < 1e-12, worst, 1e-12, f"{n_instances} instances + hand cases")
+    return CheckResult("roc_auc vs all-pairs concordance oracle", worst < 1e-12, worst, 1e-12, "100 instances + hand cases")
 
 
 def scaled_carry(step_adjoint):

@@ -689,6 +689,17 @@ class TestCheckpointValues:
         assert predict_with(trained, bad) == 4
         assert f"{bad}: bad checkpoint header (text_length must be an integer, got {value!r})" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, convert",
+        [("vocab_size", str), ("vocab_size", float), ("vocab_size", lambda n: n + 0.7), ("n_classes", str), ("epoch", lambda n: n + 0.9), ("epoch", bool)],
+        ids=["vocab_size-string", "vocab_size-float", "vocab_size-fraction", "n_classes-string", "epoch-fraction", "epoch-bool"],
+    )
+    def test_header_count_not_an_integer_exit_4(self, trained, tmp_path, capsys, key, convert):
+        """vocab_size, n_classes and epoch must be JSON integers: a string, a float or a bool is refused, not coerced."""
+        bad = rewritten_header(trained, tmp_path / "checkpoint.bin", lambda header: header.update({key: convert(header[key])}))
+        assert predict_with(trained, bad) == 4
+        assert f"{bad}: bad checkpoint header ({key} must be an integer, got " in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameter_value_exit_4(self, trained, tmp_path, capsys, value):
         _, _, out = trained

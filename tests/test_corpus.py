@@ -25,7 +25,7 @@ from descnet.errors import DataError
 
 
 def docs_from_texts(texts, label=0, n_labels=1):
-    return [Document(i, preprocess_text(t), frozenset([label])) for i, t in enumerate(texts)]
+    return [Document(preprocess_text(t), frozenset([label])) for t in texts]
 
 
 class TestPreprocess:
@@ -97,7 +97,7 @@ class TestVocabulary:
         st.integers(min_value=3, max_value=12),
     )
     def test_retains_min_of_distinct_and_capacity(self, token_lists, max_size):
-        docs = [Document(i, list(toks), frozenset([0])) for i, toks in enumerate(token_lists)]
+        docs = [Document(list(toks), frozenset([0])) for toks in token_lists]
         vocab = build_vocabulary(docs, max_size)
         distinct = len({t for toks in token_lists for t in toks})
         assert len(vocab) - 2 == min(distinct, max_size - 2)
@@ -244,10 +244,18 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="line 2: 'text' must be a string"):
             load_dataset(path, "jsonl", space)
 
+    @pytest.mark.parametrize("labels", ['["x", "y"]', "[]"])
+    def test_jsonl_multi_class_record_without_exactly_one_label_reports_line(self, tmp_path, labels):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"text": "ok", "labels": ["x"]}\n{"text": "two", "labels": %s}\n' % labels)
+        space = LabelSpace(("x", "y"), "multi_class")
+        with pytest.raises(DataError, match=re.escape(f"{path}: line 2: multi_class documents need exactly one label")):
+            load_dataset(path, "jsonl", space)
+
     def test_multi_class_requires_exactly_one_label(self):
         space = LabelSpace(("x", "y"), "multi_class")
         with pytest.raises(DataError, match="exactly one"):
-            make_document(0, "text", ["x", "y"], space)
+            make_document("text", ["x", "y"], space)
 
 
 class TestSplit:
@@ -266,19 +274,19 @@ class TestSplit:
         corpus = self.make_corpus(20)
         a = split(corpus, 0.2, seed=3)
         b = split(corpus, 0.2, seed=3)
-        assert [[d.id for d in part] for part in a] == [[d.id for d in part] for part in b]
+        assert [[d.tokens for d in part] for part in a] == [[d.tokens for d in part] for part in b]
 
     def test_different_seeds_differ_sizes_identical(self):
         corpus = self.make_corpus(100)
         a = split(corpus, 0.1, seed=1)
         b = split(corpus, 0.1, seed=2)
-        assert [d.id for d in a[0]] != [d.id for d in b[0]]
+        assert [d.tokens for d in a[0]] != [d.tokens for d in b[0]]
         assert [len(p) for p in a] == [len(p) for p in b]
 
     def test_partition_is_disjoint_and_complete(self):
         corpus = self.make_corpus(17)
         train, val = split(corpus, 0.25, seed=11)
-        ids = [d.id for d in train + val]
+        ids = [corpus.index(d) for d in train + val]
         assert sorted(ids) == list(range(17))
         assert len(set(ids)) == 17
 

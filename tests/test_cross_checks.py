@@ -114,7 +114,7 @@ class TestAdamTranscription:
         for step in range(1, 30):
             g = rng.normal(size=7)
             p.grad = g.copy()
-            adam_step([p], moments, lr, b1, b2, eps, step_count=step)
+            adam_step([p], moments, lr, step_count=step)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             theta = theta - lr * (m / (1 - b1**step)) / (np.sqrt(v / (1 - b2**step)) + eps)

@@ -22,10 +22,7 @@ from descnet.verify import anova_groups, anova_oracle, chi2_oracle, presence_tab
 
 
 def make_docs(texts_and_labels, label_space):
-    return [
-        Document(i, preprocess_text(text), frozenset(labels))
-        for i, (text, labels) in enumerate(texts_and_labels)
-    ]
+    return [Document(preprocess_text(text), frozenset(labels)) for text, labels in texts_and_labels]
 
 
 @pytest.fixture

@@ -607,7 +607,7 @@ class TestEncodeExamples:
     def test_width_is_the_configured_length_or_the_longest_document(self, text_length, descriptor_length, lengths, widths):
         _, _, vocab, descriptors, labels, docs = tiny_setup()
         words = [tok for doc in docs for tok in doc.tokens]
-        subset = [Document(k, words[k : k + n], frozenset({0})) for k, n in enumerate(lengths)]
+        subset = [Document(words[k : k + n], frozenset({0})) for k, n in enumerate(lengths)]
         config = tiny_config(text_length=text_length, descriptor_length=descriptor_length)
         examples = encode_examples(subset, vocab, descriptors, labels, config)
         assert examples.text_ids.shape == (len(lengths), widths[0])

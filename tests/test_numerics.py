@@ -339,11 +339,11 @@ class TestOptimizers:
         p = Parameter(np.array([1.0]), name="bad_param")
         p.grad = np.array([np.inf])
         with pytest.raises(NonFiniteError, match="bad_param"):
-            adam_step([p], {}, step_count=1)
+            adam_step([p], {}, 1e-3, step_count=1)
 
     def test_step_count_validated(self):
         with pytest.raises(ValueError):
-            adam_step([], {}, step_count=0)
+            adam_step([], {}, 1e-3, step_count=0)
 
 
 class TestProperties:
