@@ -18,7 +18,6 @@ from .corpus import (
 from .descriptors import (
     ClassDescriptorSet,
     TokenClassStats,
-    anova_f_score,
     build_contingency,
     build_descriptor_channel_input,
     extract_descriptors,

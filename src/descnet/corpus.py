@@ -37,8 +37,8 @@ _NON_ALNUM_RE = re.compile(r"[\W_]")
 
 @contextmanager
 def open_text(path, newline=None):
-    """``open(path)`` as UTF-8 text; undecodable bytes raise DataError at ``path: line N``."""
-    with open(path, encoding="utf-8", newline=newline) as fh:
+    """``open(path)`` as UTF-8 text, past a leading byte-order mark; undecodable bytes raise DataError at ``path: line N``."""
+    with open(path, encoding="utf-8-sig", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError:

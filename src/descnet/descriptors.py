@@ -10,6 +10,7 @@ one sparse document x token count matrix.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -153,17 +154,6 @@ def _anova_f(n_in, s_in, q_in, n_out, s_out, q_out):
     return np.where(ss_between == 0.0, 0.0, np.where(ss_within == 0.0, np.inf, f))[()]
 
 
-def anova_f_score(in_class_counts, out_class_counts) -> float:
-    """One-way two-group F = MS_between / MS_within over raw count groups.
-
-    Returns +inf when within-group variance is zero but the means differ,
-    and 0 when the means agree.
-    """
-    x = np.asarray(in_class_counts, dtype=np.float64)
-    y = np.asarray(out_class_counts, dtype=np.float64)
-    return float(_anova_f(x.size, x.sum(), (x * x).sum(), y.size, y.sum(), (y * y).sum()))
-
-
 def score_tokens(stats: TokenClassStats, test: str, columns=slice(None)) -> np.ndarray:
     """(n_classes, k) scores of the tokens in ``columns`` against every class."""
     if test == "chi2":
@@ -206,6 +196,10 @@ def extract_descriptors(
         raise DataError(f"descriptor dimension must be >= 1, got {n}")
     stats = build_contingency(corpus, vocab, labels)
     columns = np.flatnonzero(stats.df >= min_doc_frequency)
+    if test == "anova" and columns.size:
+        for name, size in zip(labels.names, stats.membership.sum(axis=0)):
+            if size == len(corpus):
+                raise DataError(f"class {name!r} is on every document, so ANOVA has no out-of-class group")
     scores = score_tokens(stats, test, columns)
     df = stats.df[columns]
     entries: list[list[tuple[str, float]]] = []
@@ -233,7 +227,7 @@ def save_descriptors(descriptors: ClassDescriptorSet, path) -> None:
 
 
 def load_descriptors(path) -> ClassDescriptorSet:
-    """The set ``save_descriptors`` wrote; a header with no rows is a set of no classes."""
+    """The set ``save_descriptors`` wrote: per class at most ``n`` distinct tokens, no score ``nan``; a header with no rows is a set of no classes."""
     with open_text(path) as fh:
         header = fh.readline().rstrip("\n")
         match = _HEADER_RE.match(header)
@@ -243,7 +237,7 @@ def load_descriptors(path) -> ClassDescriptorSet:
         if n < 1:
             raise DataError(f"{path}: line 1: n must be >= 1")
         class_names: list[str] = []
-        entries: list[list[tuple[str, float]]] = []
+        scores_by_class: list[dict[str, float]] = []
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -255,11 +249,18 @@ def load_descriptors(path) -> ClassDescriptorSet:
             try:
                 score = float(score_str)
             except ValueError:
+                score = math.nan
+            if math.isnan(score):
                 raise DataError(f"{path}: line {lineno}: bad score {score_str!r}")
             if not class_names or class_names[-1] != name:
                 if name in class_names:
                     raise DataError(f"{path}: line {lineno}: class {name!r} rows are not contiguous")
                 class_names.append(name)
-                entries.append([])
-            entries[-1].append((tok, score))
-    return ClassDescriptorSet(test, n, tuple(class_names), entries)
+                rows: dict[str, float] = {}
+                scores_by_class.append(rows)
+            if tok in rows:
+                raise DataError(f"{path}: line {lineno}: token {tok!r} is listed twice for class {name!r}")
+            if len(rows) == n:
+                raise DataError(f"{path}: line {lineno}: class {name!r} has more than n={n} rows")
+            rows[tok] = score
+    return ClassDescriptorSet(test, n, tuple(class_names), [list(rows.items()) for rows in scores_by_class])

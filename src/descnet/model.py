@@ -421,6 +421,8 @@ def load_checkpoint(path) -> tuple[DualChannelModel, CheckpointMeta]:
             for key in ("vocab_size", "n_classes", "epoch"):
                 if type(header[key]) is not int:  # a JSON integer; bool is an int subclass
                     raise ValueError(f"{key} must be an integer, got {header[key]!r}")
+            if type(header["val_metric"]) not in (int, float) or not np.isfinite(header["val_metric"]):
+                raise ValueError(f"val_metric must be a finite number, got {header['val_metric']!r}")
             vocab_size, n_classes = header["vocab_size"], header["n_classes"]
             meta = CheckpointMeta(
                 label_names=header["label_names"],

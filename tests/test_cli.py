@@ -80,6 +80,17 @@ class TestExtractDescriptors:
         extracted = (tmp_path / "extract" / "descriptors.tsv").read_bytes()
         assert extracted == (tmp_path / "train" / "descriptors.tsv").read_bytes()
 
+    def test_label_on_every_document_exit_2_under_anova_only(self, tmp_path, capsys):
+        """ANOVA names a class with no out-of-class group; chi2 scores that class 0."""
+        path = tmp_path / "food.csv"
+        path.write_text("text,label\npasta sauce,food|italian\npasta sushi rice,food|japanese\nsushi rice,food|japanese\npasta pizza,food|italian\n")
+        flags = ["extract-descriptors", "--train-path", str(path), "--labels", "food,italian,japanese", "--mode", "multi_label"]
+        assert main([*flags, "--descriptor-test", "anova", "--out-dir", str(tmp_path / "anova")]) == 2
+        assert "error: class 'food' is on every document, so ANOVA has no out-of-class group" in capsys.readouterr().err
+        assert main([*flags, "--descriptor-test", "chi2", "--out-dir", str(tmp_path / "chi2")]) == 0
+        food = [line.split("\t") for line in (tmp_path / "chi2" / "descriptors.tsv").read_text().splitlines() if line.startswith("food\t")]
+        assert food and all(score == "0" for _, _, score in food)
+
     def test_missing_input_file_exit_2(self, tmp_path, capsys):
         code = main([
             "extract-descriptors", "--train-path", str(tmp_path / "nope.csv"),
@@ -233,6 +244,25 @@ class TestTrain:
         path.write_text("#test=chi2 n=0\n")
         assert main(train_args(root, names, tmp_path / "out", extra=["--descriptor-path", str(path)])) == 2
         assert f"error: {path}: line 1: n must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("#test=chi2 n=1\nclassa\tmarkera\t9\nclassa\tnoise001\t2\nclassa\tnoise002\t1\n", "line 3: class 'classa' has more than n=1 rows"),
+            ("#test=chi2 n=2\nclassa\tmarkera\t9\nclassb\tmarkerb\t9\nclassb\tmarkerb\t9\n", "line 4: token 'markerb' is listed twice for class 'classb'"),
+            ("#test=anova n=1\nclassa\tmarkera\tinf\nclassb\tmarkerb\tnan\n", "line 3: bad score 'nan'"),
+        ],
+        ids=["more-rows-than-n", "repeated-token", "nan-score"],
+    )
+    def test_descriptor_file_not_matching_its_header_exit_2(self, corpus_dir, tmp_path, capsys, text, message):
+        """Each class lists at most n distinct tokens with non-nan scores; inf, ANOVA's zero-variance sentinel, loads."""
+        root, names = corpus_dir
+        path = tmp_path / "descriptors.tsv"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(train_args(root, names, out, extra=["--descriptor-path", str(path)])) == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+        assert not (out / "checkpoint.bin").exists()
 
     def test_descriptor_file_of_other_labels_exit_2(self, corpus_dir, tmp_path, capsys):
         """A descriptor file extracted for another dataset's classes is refused, naming the file and its first foreign class."""
@@ -691,14 +721,17 @@ class TestCheckpointValues:
 
     @pytest.mark.parametrize(
         "key, convert",
-        [("vocab_size", str), ("vocab_size", float), ("vocab_size", lambda n: n + 0.7), ("n_classes", str), ("epoch", lambda n: n + 0.9), ("epoch", bool)],
-        ids=["vocab_size-string", "vocab_size-float", "vocab_size-fraction", "n_classes-string", "epoch-fraction", "epoch-bool"],
+        [("vocab_size", str), ("vocab_size", float), ("vocab_size", lambda n: n + 0.7), ("n_classes", str), ("epoch", lambda n: n + 0.9), ("epoch", bool),
+         ("val_metric", str), ("val_metric", lambda v: "nan"), ("val_metric", bool), ("val_metric", lambda v: float("nan")), ("val_metric", lambda v: float("inf"))],
+        ids=["vocab_size-string", "vocab_size-float", "vocab_size-fraction", "n_classes-string", "epoch-fraction", "epoch-bool",
+             "val_metric-string", "val_metric-nan-string", "val_metric-bool", "val_metric-nan", "val_metric-inf"],
     )
     def test_header_count_not_an_integer_exit_4(self, trained, tmp_path, capsys, key, convert):
-        """vocab_size, n_classes and epoch must be JSON integers: a string, a float or a bool is refused, not coerced."""
+        """vocab_size, n_classes and epoch must be JSON integers and val_metric a finite JSON number: a string, a bool or a non-finite value is refused, not coerced."""
         bad = rewritten_header(trained, tmp_path / "checkpoint.bin", lambda header: header.update({key: convert(header[key])}))
         assert predict_with(trained, bad) == 4
-        assert f"{bad}: bad checkpoint header ({key} must be an integer, got " in capsys.readouterr().err
+        kind = "a finite number" if key == "val_metric" else "an integer"
+        assert f"{bad}: bad checkpoint header ({key} must be {kind}, got " in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameter_value_exit_4(self, trained, tmp_path, capsys, value):

@@ -185,6 +185,14 @@ class TestLoadDataset:
         assert docs[0].tokens == ["hello", "world"]
         assert docs[1].labels == frozenset([1])
 
+    def test_csv_after_a_byte_order_mark_loads_like_the_plain_file(self, tmp_path):
+        text = 'text,label\n"Hello, world!",World\nMatch tonight,Sports\n'
+        (tmp_path / "plain.csv").write_text(text, encoding="utf-8")
+        (tmp_path / "bom.csv").write_text(text, encoding="utf-8-sig")
+        space = LabelSpace(("World", "Sports"), "multi_class")
+        assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbftext,label")
+        assert load_dataset(tmp_path / "bom.csv", "csv", space) == load_dataset(tmp_path / "plain.csv", "csv", space)
+
     def test_pipe_separated_multi_label(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("text,label\nsome comment,toxic|insult\nfine comment,\n")

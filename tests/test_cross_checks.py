@@ -11,7 +11,6 @@ import pytest
 
 from descnet import nn, verify
 from descnet import numerics as nm
-from descnet.descriptors import anova_f_score
 from descnet.metrics import precision_recall_f1, roc_auc
 from descnet.numerics import Parameter, Tensor, adam_step
 
@@ -136,13 +135,13 @@ class TestAgainstScipy:
         got = nm.sigmoid(Tensor(x)).data
         np.testing.assert_allclose(got, special.expit(x), atol=1e-12)
 
-    def test_anova_f_matches_f_oneway(self):
+    def test_anova_f_matches_f_oneway(self, anova_of_counts):
         stats = pytest.importorskip("scipy.stats")
         rng = np.random.default_rng(39)
         for _ in range(50):
             a = rng.integers(0, 6, size=rng.integers(2, 12)).astype(float)
             b = rng.integers(0, 6, size=rng.integers(2, 12)).astype(float)
-            got = anova_f_score(a, b)
+            got = anova_of_counts(a, b)
             expected = stats.f_oneway(a, b).statistic
             if np.isnan(expected) or np.isinf(got):
                 # degenerate cases: scipy emits nan where this package pins 0 or +inf
