@@ -1,8 +1,8 @@
 """Command-line orchestration: extract-descriptors, train, evaluate, predict, verify.
 
-Configuration is a flat ``key = value`` file plus per-key CLI flag overrides;
-the effective configuration is echoed into the output directory so every run
-is reproducible from its artifacts. Exit codes: 0 success, 2 input error,
+Configuration is a flat ``key = value`` file plus flag overrides for the settings
+a command reads, which it echoes into its output directory so every run is
+reproducible from its artifacts. Exit codes: 0 success, 2 input error,
 3 numerical failure, 4 artifact incompatibility.
 """
 
@@ -104,21 +104,21 @@ def parse_config_file(path) -> dict:
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    """The config file's values under the flag overrides, validated as a whole."""
-    values = parse_config_file(args.config) if args.config else {}
-    for f in fields(RunConfig):
-        override = getattr(args, f.name, None)
+    """The config file's values under the command's flag overrides, validated as a whole."""
+    values = parse_config_file(args.config) if vars(args).get("config") else {}
+    for name in COMMANDS[args.command][1]:
+        override = getattr(args, name)
         if override is not None:
-            values[f.name] = _coerce(f.name, override)
+            values[name] = _coerce(name, override)
     return RunConfig(**values)
 
 
-def echo_config(config: RunConfig) -> Path:
+def echo_config(config: RunConfig, command: str, record: str = "effective_config.cfg") -> Path:
+    """Write the settings ``command`` reads, with the values it used, to ``out_dir/record``."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    values = {f.name: getattr(config, f.name) for f in fields(RunConfig)}
-    lines = [f"{name} = {value}" for name, value in values.items() if value is not None]
-    (out_dir / "effective_config.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = [f"{name} = {getattr(config, name)}" for name in COMMANDS[command][1]]
+    (out_dir / record).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return out_dir
 
 
@@ -148,7 +148,7 @@ def _extract(config: RunConfig, fit_docs, vocab, labels: LabelSpace):
 
 def cmd_extract_descriptors(config: RunConfig) -> int:
     _require(config, "train_path", "labels")
-    out_dir = echo_config(config)
+    out_dir = echo_config(config, "extract-descriptors")
     labels = config.label_space()
     fit_docs, _, vocab = _fit_documents(config, labels)
     descriptors = _extract(config, fit_docs, vocab, labels)
@@ -175,7 +175,7 @@ def cmd_train(config: RunConfig) -> int:
             )
         # The run records how its descriptors were chosen: the file's test and n, not the configured ones.
         config = replace(config, descriptor_test=descriptors.test, descriptor_dimension=descriptors.dimension)
-    out_dir = echo_config(config)
+    out_dir = echo_config(config, "train")
     model_config = config.model_config()
 
     train_docs, val_docs, vocab = _fit_documents(config, labels)
@@ -269,8 +269,8 @@ def _resolve_threshold(config: RunConfig, checkpoint_path: Path) -> float:
 
 def cmd_evaluate(config: RunConfig) -> int:
     _require(config, "test_path")
-    out_dir = echo_config(config)
     model, meta, vocab, descriptors, threshold = _load_bundle(config)
+    out_dir = echo_config(replace(config, threshold=-1.0 if threshold is None else threshold), "evaluate", "evaluate_config.cfg")
     labels = LabelSpace(tuple(meta.label_names), model.config.mode)
     docs = load_dataset(config.test_path, config.format, labels)
     examples = encode_examples(docs, vocab, descriptors, labels, model.config)
@@ -313,12 +313,17 @@ def cmd_verify(config: RunConfig, quick: bool = False, inject_fault: bool = Fals
     return 1 if failed else 0
 
 
+_FIT = ("format", "labels", "train_path", "val_path", "val_fraction", "drop_overlength", "min_doc_frequency")
+_BUNDLE = ("checkpoint_path", "vocab_path", "descriptor_path", "threshold", "threshold_path")
+# Each command's handler and the RunConfig settings it reads: its flags, its --help and its record. A config file
+# may hold any RunConfig key; the whole file is validated, and a command ignores the keys it does not list.
 COMMANDS = {
-    "extract-descriptors": cmd_extract_descriptors,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "predict": cmd_predict,
-    "verify": cmd_verify,
+    "extract-descriptors": (cmd_extract_descriptors, _FIT + ("mode", "seed", "text_length", "vocabulary_max", "descriptor_test",
+                                                             "descriptor_dimension", "out_dir")),
+    "train": (cmd_train, tuple(f.name for f in fields(ModelConfig)) + _FIT + ("embedding_path", "descriptor_path", "out_dir")),
+    "evaluate": (cmd_evaluate, _BUNDLE + ("test_path", "format", "out_dir")),
+    "predict": (cmd_predict, _BUNDLE + ("text", "input_path")),
+    "verify": (cmd_verify, ()),
 }
 
 
@@ -329,13 +334,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     defaults = RunConfig()
-    for command in COMMANDS:
-        sub = subparsers.add_parser(command, help=f"run {command}")
-        sub.add_argument("--config", default="", help="flat key = value config file")
-        for f in fields(RunConfig):
-            flag = "--" + f.name.replace("_", "-")
-            sub.add_argument(flag, dest=f.name, default=None, metavar=_FIELD_TYPES[f.name].split()[0].upper(),
-                             help=f"override {f.name} (default: {getattr(defaults, f.name)!r})")
+    for command, (_, settings) in COMMANDS.items():
+        # No abbreviations: a prefix of one of this command's flags (--text for --text-length) is not a flag of it.
+        sub = subparsers.add_parser(command, help=f"run {command}", allow_abbrev=False)
+        if settings:
+            sub.add_argument("--config", default="", help="flat key = value config file; keys this command does not read are ignored")
+        for name in settings:
+            sub.add_argument("--" + name.replace("_", "-"), dest=name, default=None, metavar=_FIELD_TYPES[name].split()[0].upper(),
+                             help=f"override {name} (default: {getattr(defaults, name)!r})")
         if command == "verify":
             sub.add_argument("--quick", action="store_true", help="smaller sample counts")
             sub.add_argument("--inject-fault", action="store_true",
@@ -349,7 +355,7 @@ def main(argv=None) -> int:
         config = build_run_config(args)
         # A command's own flags (verify's --quick and --inject-fault) are its handler's keyword arguments.
         own_flags = {k: v for k, v in vars(args).items() if k not in _FIELD_TYPES and k not in ("command", "config")}
-        return COMMANDS[args.command](config, **own_flags)
+        return COMMANDS[args.command][0](config, **own_flags)
     except (DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -359,6 +365,9 @@ def main(argv=None) -> int:
     except ArtifactError as e:
         print(f"artifact error: {e}", file=sys.stderr)
         return 4
+    except MemoryError as e:
+        print(f"error: out of memory ({e}); lower d_embed, gru_units or vocabulary_max", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

@@ -12,6 +12,7 @@ import json
 import numbers
 import os
 import struct
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -421,7 +422,8 @@ def load_checkpoint(path) -> tuple[DualChannelModel, CheckpointMeta]:
             for key in ("vocab_size", "n_classes", "epoch"):
                 if type(header[key]) is not int:  # a JSON integer; bool is an int subclass
                     raise ValueError(f"{key} must be an integer, got {header[key]!r}")
-            if type(header["val_metric"]) not in (int, float) or not np.isfinite(header["val_metric"]):
+            # Python compares an int with a float exactly, so an int past the float range fails here, not in a ufunc.
+            if type(header["val_metric"]) not in (int, float) or not -sys.float_info.max <= header["val_metric"] <= sys.float_info.max:
                 raise ValueError(f"val_metric must be a finite number, got {header['val_metric']!r}")
             vocab_size, n_classes = header["vocab_size"], header["n_classes"]
             meta = CheckpointMeta(

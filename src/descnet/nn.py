@@ -57,10 +57,10 @@ def load_pretrained_embeddings(layer: EmbeddingLayer, path, token_to_id: dict[st
     A first line of two integers, the ``count dim`` header of word2vec/fastText
     ``.vec`` files, is skipped. Tokens absent from the file keep their random
     initialization. Returns the number of rows covered. The file dimension
-    must match the layer's, and every loaded value must be finite in the
-    table's precision.
+    must match the layer's, every loaded value must be finite in the table's
+    precision, and a vocabulary token may have only one line.
     """
-    covered = 0
+    covered = set()
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -78,6 +78,8 @@ def load_pretrained_embeddings(layer: EmbeddingLayer, path, token_to_id: dict[st
             idx = token_to_id.get(tok)
             if idx is None or idx == PAD_ID:
                 continue
+            if idx in covered:
+                raise DataError(f"{path}: line {lineno}: token {tok!r} is listed twice")
             try:
                 vector = np.array([float(v) for v in values])
             except ValueError:
@@ -85,8 +87,8 @@ def load_pretrained_embeddings(layer: EmbeddingLayer, path, token_to_id: dict[st
             if not np.all(np.abs(vector) <= np.finfo(layer.table.data.dtype).max):
                 raise DataError(f"{path}: line {lineno}: embedding value is not finite in {layer.table.data.dtype}")
             layer.table.data[idx] = vector
-            covered += 1
-    return covered
+            covered.add(idx)
+    return len(covered)
 
 
 class GRUCell:

@@ -264,6 +264,7 @@ def _primitive_cases(rng: np.random.Generator):
     b = Parameter(rng.normal(size=(3, 4)), name="b")
     w = Parameter(rng.normal(size=(4, 2)), name="w")
     table = Parameter(rng.normal(size=(6, 3)), name="table")
+    stacked = Parameter(rng.normal(size=(2, 3, 4)), name="stacked")  # drawn last, so the draws above stay put
     ids = np.array([[1, 2, 4], [5, 1, 3]])
     total = lambda t: nm.sum_over_axis(t, axis=None)
     return [
@@ -281,6 +282,7 @@ def _primitive_cases(rng: np.random.Generator):
         ("embedding_gather", lambda: total(nm.tanh(nm.embedding_gather(table, ids))), [table]),
         ("max_over_axis", lambda: total(nm.max_over_axis(nm.mul(a, a), axis=1)), [a]),
         ("sum_over_axis", lambda: total(nm.tanh(nm.sum_over_axis(a, axis=1))), [a]),
+        ("matmul_stacked", lambda: total(nm.tanh(nm.matmul(stacked, w))), [stacked, w]),  # attention's batched matmul
     ]
 
 

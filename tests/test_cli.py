@@ -1,4 +1,7 @@
+import ast
+import inspect
 import json
+import re
 import shutil
 import struct
 from collections import Counter
@@ -7,8 +10,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from descnet import metrics
-from descnet.cli import RunConfig, build_parser, build_run_config, main, parse_config_file
+from descnet import cli, metrics
+from descnet.cli import COMMANDS, RunConfig, build_parser, build_run_config, main, parse_config_file
 from descnet.corpus import LabelSpace, build_vocabulary, load_dataset, load_vocabulary, split
 from descnet.descriptors import extract_descriptors, load_descriptors, save_descriptors
 from descnet.errors import DataError
@@ -73,10 +76,10 @@ class TestExtractDescriptors:
     def test_writes_the_descriptors_train_fits(self, tmp_path):
         rows, names = news_like_corpus(400, seed=0)
         write_csv(rows, tmp_path / "news.csv")
-        flags = ["--train-path", str(tmp_path / "news.csv"), "--labels", ",".join(names), *FAST_FLAGS,
-                 "--descriptor-dimension", "20", "--max-epochs", "1", "--text-length", "30", "--drop-overlength", "true"]
-        assert main(["extract-descriptors", *flags, "--out-dir", str(tmp_path / "extract")]) == 0
-        assert main(["train", *flags, "--out-dir", str(tmp_path / "train")]) == 0
+        fit = ["--train-path", str(tmp_path / "news.csv"), "--labels", ",".join(names), "--seed", "7",
+               "--descriptor-dimension", "20", "--text-length", "30", "--drop-overlength", "true"]
+        assert main(["extract-descriptors", *fit, "--out-dir", str(tmp_path / "extract")]) == 0
+        assert main(["train", *FAST_FLAGS, *fit, "--max-epochs", "1", "--out-dir", str(tmp_path / "train")]) == 0
         extracted = (tmp_path / "extract" / "descriptors.tsv").read_bytes()
         assert extracted == (tmp_path / "train" / "descriptors.tsv").read_bytes()
 
@@ -549,6 +552,105 @@ class TestConfigSchema:
         assert str(raised.value) == message
 
 
+def settings_read(command: str) -> set[str]:
+    """The RunConfig settings ``command``'s handler reads, found by walking it and every cli function it calls.
+
+    A read is ``config.<setting>``, a key given to ``_require``, ``config.label_space()`` (labels and mode)
+    or ``config.model_config()`` (every ModelConfig field).
+    """
+    functions = {node.name: node for node in ast.parse(inspect.getsource(cli)).body if isinstance(node, ast.FunctionDef)}
+    run_fields = {f.name for f in fields(RunConfig)}
+    methods = {"label_space": {"labels", "mode"}, "model_config": {f.name for f in fields(ModelConfig)}}
+    read, todo, seen = set(), [COMMANDS[command][0].__name__], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "config":
+                read |= methods.get(node.attr, {node.attr} & run_fields)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in functions:
+                if node.func.id == "_require":
+                    read |= {arg.value for arg in node.args[1:]}
+                todo.append(node.func.id)
+    return read
+
+
+@pytest.fixture(scope="module")
+def trained_ml(corpus_dir, tmp_path_factory):
+    root, names = corpus_dir
+    out = tmp_path_factory.mktemp("ml")
+    assert main([
+        "train", "--train-path", str(root / "train_ml.csv"), "--labels", ",".join(names),
+        "--mode", "multi_label", "--out-dir", str(out), *FAST_FLAGS,
+    ]) == 0
+    return root, out
+
+
+class TestCommandSettings:
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_each_command_lists_exactly_the_settings_it_reads(self, command):
+        settings = COMMANDS[command][1]
+        assert len(set(settings)) == len(settings)
+        assert settings_read(command) == set(settings)
+
+    def test_help_lists_exactly_each_commands_settings(self, capsys):
+        counts = {}
+        for command, (_, settings) in COMMANDS.items():
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help", "--config", "--quick", "--inject-fault"}
+            assert flags == {"--" + name.replace("_", "-") for name in settings}
+            counts[command] = len(flags)
+        assert counts == {"extract-descriptors": 14, "train": 24, "evaluate": 8, "predict": 7, "verify": 0}
+
+    @pytest.mark.parametrize("command, flag", [
+        ("predict", "--gru-units"), ("evaluate", "--mode"), ("extract-descriptors", "--d-embed"),
+        ("verify", "--train-path"), ("verify", "--config"), ("train", "--text"),
+    ])
+    def test_setting_flag_the_command_does_not_read_exit_2(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as raised:
+            main([command, flag, "9"])
+        assert raised.value.code == 2
+        assert f"unrecognized arguments: {flag} 9" in capsys.readouterr().err
+
+    def test_config_file_keys_the_command_does_not_read_are_ignored_but_checked(self, trained_ml, tmp_path, capsys):
+        root, out = trained_ml
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text(f"mode = multi_class\nd_embed = 300\ngru_units = 999\ntest_path = {root / 'train_ml.csv'}\n")
+        assert main(["evaluate", "--config", str(cfg), "--checkpoint-path", str(out / "checkpoint.bin"), "--out-dir", str(tmp_path)]) == 0
+        echoed = (tmp_path / "evaluate_config.cfg").read_text().splitlines()
+        assert [line.split(" = ")[0] for line in echoed] == list(COMMANDS["evaluate"][1])
+        cfg.write_text("val_fraction = 2\n")
+        assert main(["predict", "--config", str(cfg), "--checkpoint-path", str(out / "checkpoint.bin"), "--text", "x"]) == 2
+        assert "val_fraction must be in (0, 1)" in capsys.readouterr().err
+
+    def test_multi_label_evaluate_records_the_threshold_it_applied(self, trained_ml, tmp_path):
+        root, out = trained_ml
+        assert main(["evaluate", "--checkpoint-path", str(out / "checkpoint.bin"), "--test-path", str(root / "train_ml.csv"),
+                     "--out-dir", str(tmp_path)]) == 0
+        threshold = float((out / "threshold.txt").read_text())
+        assert f"threshold = {threshold}" in (tmp_path / "evaluate_config.cfg").read_text().splitlines()
+        assert json.loads((tmp_path / "report.json").read_text())["threshold"] == threshold
+
+    def test_multi_class_evaluate_records_no_threshold(self, trained, tmp_path):
+        """A multi-class bundle takes each row's argmax, so a given --threshold is not applied and not recorded."""
+        root, _, out = trained
+        assert main(["evaluate", "--checkpoint-path", str(out / "checkpoint.bin"), "--test-path", str(root / "test.csv"),
+                     "--threshold", "0.5", "--out-dir", str(tmp_path)]) == 0
+        assert "threshold = -1.0" in (tmp_path / "evaluate_config.cfg").read_text().splitlines()
+
+    def test_evaluate_into_the_training_directory_keeps_trains_record(self, trained_ml):
+        root, out = trained_ml
+        record = (out / "effective_config.cfg").read_bytes()
+        assert b"d_embed = 8" in record and b"gru_units = 4" in record
+        assert main(["evaluate", "--checkpoint-path", str(out / "checkpoint.bin"), "--test-path", str(root / "train_ml.csv"),
+                     "--out-dir", str(out)]) == 0
+        assert (out / "effective_config.cfg").read_bytes() == record
+        assert (out / "evaluate_config.cfg").exists()
+
+
 class TestVerifyCommand:
     def test_fresh_build_passes(self, capsys):
         assert main(["verify", "--quick"]) == 0
@@ -588,6 +690,13 @@ class TestExitCodes:
         assert code == 3
         assert "epoch 1" in capsys.readouterr().err
 
+    def test_model_too_large_to_allocate_exit_2(self, corpus_dir, tmp_path, capsys):
+        """The embedding table asked for here is past any address space, so numpy refuses it at once."""
+        root, names = corpus_dir
+        assert main(train_args(root, names, tmp_path / "out", extra=["--d-embed", "10000000000000"])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory (") and err.endswith("lower d_embed, gru_units or vocabulary_max\n")
+
     @pytest.mark.parametrize("command, flag, path", [
         ("extract-descriptors", "--out-dir", "file"),
         ("extract-descriptors", "--out-dir", "file/sub"),
@@ -624,6 +733,14 @@ class TestEmbeddingFile:
         code = main(train_args(root, names, out, extra=["--embedding-path", str(vectors), "--max-epochs", "1"]))
         assert code == 0
         assert "pretrained embeddings cover 2/" in capsys.readouterr().out
+
+    def test_repeated_vocabulary_token_exit_2_at_its_second_line(self, corpus_dir, tmp_path, capsys):
+        root, names = corpus_dir
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("".join(f"{tok} " + " ".join(["0.5"] * 8) + "\n" for tok in ("markera", "absent", "absent", "markera", "markera")))
+        code = main(train_args(root, names, tmp_path / "run", extra=["--embedding-path", str(vectors)]))
+        assert code == 2
+        assert f"error: {vectors}: line 4: token 'markera' is listed twice" in capsys.readouterr().err
 
     def test_dimension_mismatch_exit_2(self, corpus_dir, tmp_path, capsys):
         root, names = corpus_dir
@@ -722,9 +839,10 @@ class TestCheckpointValues:
     @pytest.mark.parametrize(
         "key, convert",
         [("vocab_size", str), ("vocab_size", float), ("vocab_size", lambda n: n + 0.7), ("n_classes", str), ("epoch", lambda n: n + 0.9), ("epoch", bool),
-         ("val_metric", str), ("val_metric", lambda v: "nan"), ("val_metric", bool), ("val_metric", lambda v: float("nan")), ("val_metric", lambda v: float("inf"))],
+         ("val_metric", str), ("val_metric", lambda v: "nan"), ("val_metric", bool), ("val_metric", lambda v: float("nan")), ("val_metric", lambda v: float("inf")),
+         ("val_metric", lambda v: 10**400)],
         ids=["vocab_size-string", "vocab_size-float", "vocab_size-fraction", "n_classes-string", "epoch-fraction", "epoch-bool",
-             "val_metric-string", "val_metric-nan-string", "val_metric-bool", "val_metric-nan", "val_metric-inf"],
+             "val_metric-string", "val_metric-nan-string", "val_metric-bool", "val_metric-nan", "val_metric-inf", "val_metric-past-float-range"],
     )
     def test_header_count_not_an_integer_exit_4(self, trained, tmp_path, capsys, key, convert):
         """vocab_size, n_classes and epoch must be JSON integers and val_metric a finite JSON number: a string, a bool or a non-finite value is refused, not coerced."""
@@ -856,7 +974,7 @@ class TestNumericOptions:
 
     def test_threshold_outside_unit_interval_exit_2(self, tmp_path, capsys):
         for value in ("nan", "inf", "1.5", "-0.5"):
-            assert self.run_train(tmp_path, "--threshold", value) == 2
+            assert main(["predict", "--checkpoint-path", str(tmp_path / "missing.bin"), "--text", "x", "--threshold", value]) == 2
             assert "threshold must be in [0, 1]" in capsys.readouterr().err
 
     def test_negative_seed_exit_2(self, tmp_path, capsys):

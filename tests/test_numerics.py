@@ -16,6 +16,7 @@ from descnet.numerics import (
     backward,
     grad_check,
 )
+from descnet.verify import _primitive_cases
 
 
 def scalar_sum(t):
@@ -185,50 +186,12 @@ class TestBackward:
 
 
 class TestGradCheckPrimitives:
-    """Each primitive ran through grad_check at f64."""
+    """Each primitive of ``descnet verify``'s gradient check, run through grad_check at f64 on draws of its own."""
 
-    CASES = {}
-
-    @staticmethod
-    def _case(name):
-        def deco(fn):
-            TestGradCheckPrimitives.CASES[name] = fn
-            return fn
-
-        return deco
-
-    @pytest.mark.parametrize("op", [
-        "add", "sub", "mul", "matmul", "matmul_stacked", "tanh", "sigmoid", "softmax",
-        "log", "clip", "concat", "reshape", "embedding_gather",
-        "max_over_axis", "sum_over_axis",
-    ])
+    @pytest.mark.parametrize("op", [name for name, _, _ in _primitive_cases(np.random.default_rng(0))])
     def test_primitive(self, op):
-        rng = np.random.default_rng(zlib.crc32(op.encode()))
-        a = Parameter(rng.normal(size=(3, 4)), name="a")
-        b = Parameter(rng.normal(size=(3, 4)), name="b")
-        w = Parameter(rng.normal(size=(4, 2)), name="w")
-        table = Parameter(rng.normal(size=(6, 3)), name="table")
-        stacked = Parameter(rng.normal(size=(2, 3, 4)), name="stacked")
-        ids = np.array([[1, 2, 0], [5, 1, 3]])
-
-        funcs = {
-            "add": (lambda: scalar_sum(nm.tanh(nm.add(a, b))), [a, b]),
-            "sub": (lambda: scalar_sum(nm.tanh(nm.sub(a, b))), [a, b]),
-            "mul": (lambda: scalar_sum(nm.tanh(nm.mul(a, b))), [a, b]),
-            "matmul": (lambda: scalar_sum(nm.tanh(nm.matmul(a, w))), [a, w]),
-            "matmul_stacked": (lambda: scalar_sum(nm.tanh(nm.matmul(stacked, w))), [stacked, w]),
-            "tanh": (lambda: scalar_sum(nm.tanh(a)), [a]),
-            "sigmoid": (lambda: scalar_sum(nm.mul(nm.sigmoid(a), nm.sigmoid(a))), [a]),
-            "softmax": (lambda: scalar_sum(nm.mul(nm.softmax(a, axis=1), b)), [a]),
-            "log": (lambda: scalar_sum(nm.log(nm.add(nm.mul(a, a), 1.0))), [a]),
-            "clip": (lambda: scalar_sum(nm.clip(a, -0.5, 0.5)), [a]),
-            "concat": (lambda: scalar_sum(nm.tanh(nm.concat([a, b], axis=1))), [a, b]),
-            "reshape": (lambda: scalar_sum(nm.tanh(nm.reshape(a, (4, 3)))), [a]),
-            "embedding_gather": (lambda: scalar_sum(nm.tanh(nm.embedding_gather(table, ids))), [table]),
-            "max_over_axis": (lambda: scalar_sum(nm.max_over_axis(nm.mul(a, a), axis=1)), [a]),
-            "sum_over_axis": (lambda: scalar_sum(nm.tanh(nm.sum_over_axis(a, axis=1))), [a]),
-        }
-        f, params = funcs[op]
+        cases = {name: (f, params) for name, f, params in _primitive_cases(np.random.default_rng(zlib.crc32(op.encode())))}
+        f, params = cases[op]
         assert grad_check(f, params) < 1e-6
 
     def test_constant_function_zero_error(self):
