@@ -289,8 +289,9 @@ def cmd_predict(config: RunConfig) -> int:
     if config.text is not None:
         texts = [config.text]
     elif config.input_path:
+        # One document per line: iterating splits at line breaks only, where str.splitlines also splits at \f, \x85 and \u2028.
         with open_text(config.input_path) as fh:
-            texts = fh.read().splitlines()
+            texts = [line.rstrip("\n") for line in fh]
     else:
         raise DataError("nothing to predict: pass --text or --input-path")
     if not texts:

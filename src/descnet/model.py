@@ -300,6 +300,10 @@ def train(
             step += 1
             nm.adam_step(params, moments, cfg.learning_rate, step)
             batch_losses.append(loss_value)
+        # An update can overflow a parameter while the loss and the validation metric stay finite.
+        bad = next((p.name for p in params if not np.isfinite(p.data).all()), None)
+        if bad is not None:
+            raise NonFiniteError(f"parameter '{bad}' holds a non-finite value after epoch {epoch}")
 
         val_metric = _validation_metric(model, val_examples)
         stats = EpochStats(epoch, float(np.mean(batch_losses)), val_metric, batch_losses)

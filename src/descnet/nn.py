@@ -180,7 +180,7 @@ def attention_forward(layer: AttentionLayer, hidden: Tensor, lengths: np.ndarray
     u = nm.tanh(nm.add(nm.matmul(hidden, layer.proj), layer.bias))
     scores = nm.sum_over_axis(nm.mul(u, layer.context), axis=2)
     shield, nonempty = _padding_shield(lengths, n_steps, hidden.data.dtype)
-    weights = nm.softmax(nm.add(scores, shield), axis=1)
+    weights = nm.softmax(nm.add(scores, shield))
     context = nm.sum_over_axis(nm.mul(hidden, nm.reshape(weights, (batch, n_steps, 1))), axis=1)
     return nm.mul(context, nonempty), weights
 
@@ -205,7 +205,7 @@ class DenseLayer:
     def forward(self, x: Tensor) -> Tensor:
         logits = nm.add(nm.matmul(x, self.weights), self.bias)
         if self.activation == "softmax":
-            return nm.softmax(logits, axis=-1)
+            return nm.softmax(logits)
         return nm.sigmoid(logits)
 
 

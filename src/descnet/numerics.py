@@ -6,7 +6,9 @@ closure to it; ``backward`` replays the closures in exact reverse recording
 order. Gradients accumulate additively, so fan-out sums naturally and a
 repeated ``backward`` without zeroing accumulates by contract — callers zero
 parameter gradients between optimizer steps. With no active tape the ops run
-forward-only, which is the inference fast path.
+forward-only, which is the inference fast path. The type tells a variable
+from a constant: every ``Tensor`` operand under an active tape is recorded and
+gets its gradient, and a constant is passed as a numpy array or scalar.
 """
 
 from __future__ import annotations
@@ -56,15 +58,14 @@ _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 class Tensor:
     """Dense row-major float array, immutable by convention once created."""
 
-    __slots__ = ("data", "grad", "needs_grad")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data, needs_grad: bool = False):
+    def __init__(self, data):
         arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad: np.ndarray | None = None
-        self.needs_grad = needs_grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -85,7 +86,7 @@ class Parameter(Tensor):
     __slots__ = ("name",)
 
     def __init__(self, data, name: str = ""):
-        super().__init__(data, needs_grad=True)
+        super().__init__(data)
         self.name = name
 
     def zero_grad(self) -> None:
@@ -121,11 +122,10 @@ def _active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def _emit(data: np.ndarray, inputs: Sequence[Tensor], backward_fn) -> Tensor:
+def _emit(data: np.ndarray, backward_fn) -> Tensor:
     out = Tensor(data)
-    out.needs_grad = any(t.needs_grad for t in inputs)
     tape = _active_tape()
-    if tape is not None and out.needs_grad:
+    if tape is not None:
         tape._records.append((out, backward_fn))
     return out
 
@@ -138,9 +138,8 @@ def _grad(t: Tensor) -> np.ndarray:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.needs_grad:
-        grad = _grad(t)
-        grad += g
+    grad = _grad(t)
+    grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -155,32 +154,30 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _broadcasting(op: str, ufunc: np.ufunc, a, b, grad_a, grad_b) -> Tensor:
-    """``ufunc(a, b)`` under numpy broadcasting; a non-Tensor operand is a constant of the other's precision.
+    """``ufunc(a, b)`` under numpy broadcasting; a non-Tensor operand is a constant of the other's precision and gets no adjoint.
 
     ``grad_a(g, x, y)`` and ``grad_b(g, x, y)`` give each operand's adjoint at
     the broadcast shape from the upstream ``g`` and the operand values.
     """
-    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
+    a_var, b_var = isinstance(a, Tensor), isinstance(b, Tensor)
+    if not (a_var or b_var):
         raise ShapeError(f"{op}: at least one operand must be a Tensor")
-    if not isinstance(a, Tensor):
-        a = Tensor(np.asarray(a, dtype=b.data.dtype))
-    elif not isinstance(b, Tensor):
-        b = Tensor(np.asarray(b, dtype=a.data.dtype))
-    if a.data.dtype != b.data.dtype:
-        raise ShapeError(f"{op}: mixed precision {a.data.dtype} vs {b.data.dtype}")
-    x, y = a.data, b.data
+    x = a.data if a_var else np.asarray(a, dtype=b.data.dtype)
+    y = b.data if b_var else np.asarray(b, dtype=a.data.dtype)
+    if x.dtype != y.dtype:
+        raise ShapeError(f"{op}: mixed precision {x.dtype} vs {y.dtype}")
     try:
         data = ufunc(x, y)
     except ValueError as e:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from e
+        raise ShapeError(f"{op}: shapes {x.shape} and {y.shape} do not broadcast") from e
 
     def backward_fn(g):
-        if a.needs_grad:
-            _accum(a, _unbroadcast(grad_a(g, x, y), a.shape))
-        if b.needs_grad:
-            _accum(b, _unbroadcast(grad_b(g, x, y), b.shape))
+        if a_var:
+            _accum(a, _unbroadcast(grad_a(g, x, y), x.shape))
+        if b_var:
+            _accum(b, _unbroadcast(grad_b(g, x, y), y.shape))
 
-    return _emit(data, (a, b), backward_fn)
+    return _emit(data, backward_fn)
 
 
 def add(a, b) -> Tensor:
@@ -202,14 +199,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def backward_fn(g):
-        if a.needs_grad:
-            _accum(a, g @ np.ascontiguousarray(b.data.T))
-        if b.needs_grad:
-            flat_a = a.data.reshape(-1, a.shape[-1])
-            flat_g = g.reshape(-1, g.shape[-1])
-            _accum(b, flat_a.T @ flat_g)
+        _accum(a, g @ np.ascontiguousarray(b.data.T))
+        flat_a = a.data.reshape(-1, a.shape[-1])
+        flat_g = g.reshape(-1, g.shape[-1])
+        _accum(b, flat_a.T @ flat_g)
 
-    return _emit(data, (a, b), backward_fn)
+    return _emit(data, backward_fn)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -218,7 +213,7 @@ def tanh(a: Tensor) -> Tensor:
     def backward_fn(g):
         _accum(a, g * (1.0 - data * data))
 
-    return _emit(data, (a,), backward_fn)
+    return _emit(data, backward_fn)
 
 
 def _logistic(z: np.ndarray) -> np.ndarray:
@@ -243,20 +238,20 @@ def sigmoid(a: Tensor) -> Tensor:
     def backward_fn(g):
         _accum(a, g * data * (1.0 - data))
 
-    return _emit(data, (a,), backward_fn)
+    return _emit(data, backward_fn)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Softmax with max-subtraction along ``axis`` for overflow safety."""
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis, with max-subtraction for overflow safety."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = e / e.sum(axis=-1, keepdims=True)
 
     def backward_fn(g):
-        inner = (g * data).sum(axis=axis, keepdims=True)
+        inner = (g * data).sum(axis=-1, keepdims=True)
         _accum(a, data * (g - inner))
 
-    return _emit(data, (a,), backward_fn)
+    return _emit(data, backward_fn)
 
 
 def log(a: Tensor) -> Tensor:
@@ -265,7 +260,7 @@ def log(a: Tensor) -> Tensor:
     def backward_fn(g):
         _accum(a, g / a.data)
 
-    return _emit(data, (a,), backward_fn)
+    return _emit(data, backward_fn)
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -276,7 +271,7 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     def backward_fn(g):
         _accum(a, g * passthrough)
 
-    return _emit(data, (a,), backward_fn)
+    return _emit(data, backward_fn)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -298,7 +293,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
             sl[axis] = slice(lo, hi)
             _accum(t, g[tuple(sl)])
 
-    return _emit(data, tuple(tensors), backward_fn)
+    return _emit(data, backward_fn)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -307,7 +302,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     def backward_fn(g):
         _accum(a, g.reshape(a.shape))
 
-    return _emit(data, (a,), backward_fn)
+    return _emit(data, backward_fn)
 
 
 def embedding_gather(table: Tensor, ids: np.ndarray, padding_id: int | None = None) -> Tensor:
@@ -324,19 +319,18 @@ def embedding_gather(table: Tensor, ids: np.ndarray, padding_id: int | None = No
     data = table.data[ids]
 
     def backward_fn(g):
-        if table.needs_grad:
-            rows, g_rows = ids, g
-            if padding_id is not None:
-                keep = ids != padding_id
-                rows, g_rows = ids[keep], g[keep]
-            # One 1-D scatter, one index per element, runs on numpy's fast path.
-            # Each element gets the additions of the row form
-            # ``np.add.at(grad, rows, g_rows)`` in the same order: the same bytes.
-            dim = table.shape[1]
-            flat_ids = (rows.reshape(-1, 1) * dim + np.arange(dim)).reshape(-1)
-            np.add.at(_grad(table).reshape(-1), flat_ids, g_rows.reshape(-1))
+        rows, g_rows = ids, g
+        if padding_id is not None:
+            keep = ids != padding_id
+            rows, g_rows = ids[keep], g[keep]
+        # One 1-D scatter, one index per element, runs on numpy's fast path.
+        # Each element gets the additions of the row form
+        # ``np.add.at(grad, rows, g_rows)`` in the same order: the same bytes.
+        dim = table.shape[1]
+        flat_ids = (rows.reshape(-1, 1) * dim + np.arange(dim)).reshape(-1)
+        np.add.at(_grad(table).reshape(-1), flat_ids, g_rows.reshape(-1))
 
-    return _emit(data, (table,), backward_fn)
+    return _emit(data, backward_fn)
 
 
 def max_over_axis(a: Tensor, axis: int) -> Tensor:
@@ -349,7 +343,7 @@ def max_over_axis(a: Tensor, axis: int) -> Tensor:
         counts = mask.sum(axis=axis, keepdims=True)
         _accum(a, mask * (np.expand_dims(g, axis) / counts))
 
-    return _emit(data, (a,), backward_fn)
+    return _emit(data, backward_fn)
 
 
 def sum_over_axis(a: Tensor, axis: int | None) -> Tensor:
@@ -358,7 +352,7 @@ def sum_over_axis(a: Tensor, axis: int | None) -> Tensor:
     def backward_fn(g):
         _accum(a, np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.shape))
 
-    return _emit(data, (a,), backward_fn)
+    return _emit(data, backward_fn)
 
 
 def bigru_sequence(
@@ -449,12 +443,11 @@ def bigru_sequence(
                 W, U, b = cells[d][3 * gate : 3 * gate + 3]
                 g_p = np.ascontiguousarray((g_proj[::-1] if d else g_proj)[:, gate, d].transpose(1, 0, 2))
                 _accum(b, _unbroadcast(g_p, b.shape))
-                if x.needs_grad:
-                    _accum(x, g_p @ np.ascontiguousarray(W.data.T))
+                _accum(x, g_p @ np.ascontiguousarray(W.data.T))
                 _accum(W, flat_x.T @ g_p.reshape(-1, hidden))
                 _accum(U, g_U[gate, d])
 
-    return _emit(data, (x, *forward_weights, *backward_weights), backward_fn)
+    return _emit(data, backward_fn)
 
 
 def _gru_step_adjoint(g_new, g_out_prev, saved, recurrent_mask, U_zr_t, U_h_t, out):
@@ -484,8 +477,8 @@ def _gru_step_adjoint(g_new, g_out_prev, saved, recurrent_mask, U_zr_t, U_h_t, o
 def backward(loss: Tensor, tape: Tape) -> None:
     """Populate gradients of everything ``loss`` depends on via ``tape``.
 
-    Intermediate gradients are recomputed from scratch on every call;
-    Parameter gradients (never op outputs) persist and accumulate.
+    Intermediate gradients are recomputed from scratch on every call; the
+    gradients of tensors no op produced, Parameters among them, persist and accumulate.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")

@@ -435,6 +435,20 @@ class TestPredict:
             gap = np.abs(np.array(probs.split(), dtype=float) - np.array(single_probs.split(), dtype=float))
             assert gap.max() <= 1e-6
 
+    def test_input_file_splits_at_line_breaks_only(self, trained, tmp_path, capsys):
+        # A form feed, U+0085 and U+2028 are not line breaks of the file; a blank line is an empty document.
+        _, _, out = trained
+        inputs = tmp_path / "inputs.txt"
+        inputs.write_text("markera\fnoise001\n\nmarkerb\x85noise000\u2028markerc\n", encoding="utf-8")
+        bundle = ["predict", "--checkpoint-path", str(out / "checkpoint.bin")]
+        assert main([*bundle, "--input-path", str(inputs)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 3
+        assert main([*bundle, "--text", ""]) == 0
+        (label, probs), (empty_label, empty_probs) = rows[1].split("\t"), capsys.readouterr().out.strip().split("\t")
+        assert label == empty_label
+        assert np.abs(np.array(probs.split(), dtype=float) - np.array(empty_probs.split(), dtype=float)).max() <= 1e-6
+
     def test_empty_input_file_prints_nothing(self, trained, tmp_path, capsys):
         _, _, out = trained
         inputs = tmp_path / "empty.txt"
@@ -689,6 +703,17 @@ class TestExitCodes:
         code = main(train_args(root, names, tmp_path / "out"))
         assert code == 3
         assert "epoch 1" in capsys.readouterr().err
+
+    def test_parameter_overflow_exit_3_without_checkpoint(self, tmp_path, capsys):
+        # One training batch: Adam overflows the embedding table to inf while validation stays finite.
+        rows, names = marker_corpus(30, n_classes=3, n_noise=20, seed=1)
+        write_csv(rows, tmp_path / "train.csv")
+        out = tmp_path / "out"
+        code = main(["train", "--train-path", str(tmp_path / "train.csv"), "--labels", ",".join(names), "--out-dir", str(out),
+                     "--d-embed", "8", "--gru-units", "4", "--max-epochs", "1", "--learning-rate", "1e39"])
+        assert code == 3
+        assert "parameter 'embedding.table' holds a non-finite value after epoch 1" in capsys.readouterr().err
+        assert not (out / "checkpoint.bin").exists()
 
     def test_model_too_large_to_allocate_exit_2(self, corpus_dir, tmp_path, capsys):
         """The embedding table asked for here is past any address space, so numpy refuses it at once."""
